@@ -414,9 +414,9 @@ def _sweep_evaluator(
         params[sweep_param] = value
         return build_family_state(family, params)
 
-    columns = [sweep_param]
-    columns += [f"p{k}" for k in range(1, resolved_kmax + 1)]
-    columns += [f"{token}_margin" for token in criteria]
+    moment_cols = [f"p{k}" for k in range(1, resolved_kmax + 1)]
+    margin_cols = [f"{token}_margin" for token in criteria]
+    columns = [sweep_param, *moment_cols, *margin_cols]
     columns += ["negativity_A", "pt_min_eig_A"]
     if family == "ghz-noise":
         minor_cols = ["minor_18", "minor_27", "minor_36", "minor_45"]
@@ -426,31 +426,45 @@ def _sweep_evaluator(
         minor_cols = ["minor_14", "minor_23", "concurrence"]
     columns += minor_cols
 
-    def evaluate(value: float) -> dict[str, float]:
+    def evaluate(value: float, only: str | None = None) -> dict[str, float]:
+        """The row at one parameter value; with `only`, just that column."""
+
+        def wanted(*names: str) -> bool:
+            return only is None or only in names
+
         state = build(value)
-        mv, _ = criteria_moments(state, resolved_kmax)
         row: dict[str, float] = {sweep_param: value}
-        for k, p in enumerate(mv.values, start=1):
-            row[f"p{k}"] = p
-        for token in criteria:
-            row[f"{token}_margin"] = evaluate_criterion(token, mv, tol).margin
-        row["negativity_A"] = negativity(state, 0, tol)
-        pt0 = partial_transpose(state, 0)
-        row["pt_min_eig_A"] = float(linalg.hermitian_eigenvalues(pt0)[0])
+        if wanted(*moment_cols, *margin_cols):
+            mv, _ = criteria_moments(state, resolved_kmax)
+            row.update(zip(moment_cols, mv.values))
+            for token, column in zip(criteria, margin_cols):
+                if wanted(column):
+                    row[column] = evaluate_criterion(token, mv, tol).margin
+        if wanted("negativity_A"):
+            row["negativity_A"] = negativity(state, 0, tol)
+        if wanted("pt_min_eig_A", "min_principal_minor", "minor_14", "minor_23"):
+            pt0 = partial_transpose(state, 0)
+        if wanted("pt_min_eig_A"):
+            row["pt_min_eig_A"] = float(linalg.hermitian_eigenvalues(pt0)[0])
         if family == "ghz-noise":
-            m18, m27, m36, m45 = three_qubit_x_minors(state)
-            row.update(minor_18=m18, minor_27=m27, minor_36=m36, minor_45=m45)
+            if wanted(*minor_cols):
+                m18, m27, m36, m45 = three_qubit_x_minors(state)
+                row.update(minor_18=m18, minor_27=m27, minor_36=m36, minor_45=m45)
         elif family == "w-noise":
-            row["min_principal_minor"] = all_principal_minors(pt0).min_value
+            if wanted("min_principal_minor"):
+                row["min_principal_minor"] = all_principal_minors(pt0).min_value
         else:
-            row["minor_14"] = principal_minor(pt0, (1, 4))
-            row["minor_23"] = principal_minor(pt0, (2, 3))
-            row["concurrence"] = concurrence(state)
-        return row
+            if wanted("minor_14"):
+                row["minor_14"] = principal_minor(pt0, (1, 4))
+            if wanted("minor_23"):
+                row["minor_23"] = principal_minor(pt0, (2, 3))
+            if wanted("concurrence"):
+                row["concurrence"] = concurrence(state)
+        return row if only is None else {only: row[only]}
 
     # Columns whose zero crossings get refined by bisection; concurrence is
     # clamped at 0 so its boundary is crossed at a small positive floor.
-    boundary = [c for c in columns if c.endswith("_margin")]
+    boundary = list(margin_cols)
     boundary += ["pt_min_eig_A"] + [c for c in minor_cols if c != "concurrence"]
     transforms = {c: 0.0 for c in boundary}
     if "concurrence" in columns:
@@ -472,6 +486,7 @@ def run_sweep(
 
     Grid points are evaluated in order; sign changes of every margin, minor,
     and oracle column are refined by bisection to 1e-6 in the parameter.
+    Bisection evaluates only the column it refines, not the whole row.
     """
     if family not in SWEEPABLE_PARAM:
         raise ValidationError(
@@ -503,7 +518,7 @@ def run_sweep(
             if lo_neg == hi_neg:
                 continue
             root = bisect_sign_change(
-                lambda x, c=column, f=floor: evaluate(float(x))[c] - f,
+                lambda x, c=column, f=floor: evaluate(float(x), only=c)[c] - f,
                 float(grid[i]),
                 float(grid[i + 1]),
                 xtol=1e-6,

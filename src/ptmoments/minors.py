@@ -7,6 +7,7 @@ Index sets use one-based row/column labels externally (1..4 for two qubits,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +22,10 @@ from .states import DensityMatrix, XStateParams, x_state
 MAX_ENUMERATION_DIM = 8
 
 X_PATTERN_ATOL = 1e-12
+
+# Principal minors of a Hermitian matrix are real; a larger imaginary part
+# means the determinant itself went wrong.
+IMAG_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,45 +51,77 @@ def _normalize_index_set(labels, dim: int) -> tuple[int, ...]:
     return idx
 
 
-def _real_minor(matrix: np.ndarray, zero_based: tuple[int, ...]) -> float:
-    sub = matrix[np.ix_(zero_based, zero_based)]
-    det = complex(np.linalg.det(sub))
-    # Principal sub-matrices of Hermitian matrices are Hermitian, so any
-    # imaginary residue is float noise.
-    if abs(det.imag) > 1e-10:
+@lru_cache(maxsize=MAX_ENUMERATION_DIM)
+def _index_sets(dim: int) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, ...], ...]]:
+    """Zero-based index arrays, one of shape (count, size) per subset size
+    1..dim with rows in lexicographic order, and the one-based labels of all
+    their rows, size-major."""
+    arrays, labels = [], []
+    for size in range(1, dim + 1):
+        combos = list(combinations(range(dim), size))
+        idx = np.array(combos, dtype=np.intp)
+        idx.flags.writeable = False
+        arrays.append(idx)
+        labels.extend(tuple(i + 1 for i in c) for c in combos)
+    return tuple(arrays), tuple(labels)
+
+
+def _real_minors(dets: np.ndarray, labels) -> np.ndarray:
+    """Real parts of a stack of principal minors, labelled one-based.
+
+    Principal sub-matrices of Hermitian matrices are Hermitian, so any
+    imaginary residue is float noise; a non-finite minor means the input
+    was garbage and no verdict may be drawn from it.
+    """
+    finite = np.isfinite(dets)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NumericsError(f"principal minor {labels[first]} is not finite: {dets[first]}")
+    imag = dets.imag
+    worst = int(np.argmax(np.abs(imag)))
+    if abs(imag[worst]) > IMAG_ATOL:
         raise NumericsError(
-            f"principal minor has non-negligible imaginary part {det.imag:.3e}"
+            f"principal minor {labels[worst]} has non-negligible imaginary part "
+            f"{imag[worst]:.3e}"
         )
-    return det.real
+    return dets.real
+
+
+def _principal_dets(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Determinants of matrix restricted to each row of the (count, size)
+    zero-based index array idx, as one batched determinant."""
+    return np.linalg.det(matrix[idx[:, :, None], idx[:, None, :]])
 
 
 def principal_minor(matrix, labels) -> float:
     """Determinant of the sub-matrix keeping the given one-based rows/columns."""
     m = linalg.assert_hermitian(matrix)
-    idx = _normalize_index_set(labels, m.shape[0])
-    return _real_minor(m, tuple(i - 1 for i in idx))
+    labels = _normalize_index_set(labels, m.shape[0])
+    idx = np.array([labels], dtype=np.intp) - 1
+    return float(_real_minors(_principal_dets(m, idx), (labels,))[0])
 
 
 def all_principal_minors(matrix) -> MinorReport:
-    """All 2^dim - 1 principal minors, plus the minimum and where it occurs."""
+    """All 2^dim - 1 principal minors, plus the minimum and where it occurs.
+
+    Minors are keyed size-major, lexicographically within a size; ties for
+    the minimum go to the first such key.
+    """
     m = linalg.assert_hermitian(matrix)
     dim = m.shape[0]
     if dim > MAX_ENUMERATION_DIM:
         raise ValidationError(
             f"full minor enumeration is limited to dim <= {MAX_ENUMERATION_DIM}, got {dim}"
         )
-    minors: dict[tuple[int, ...], float] = {}
-    min_value = np.inf
-    min_index_set: tuple[int, ...] = ()
-    for size in range(1, dim + 1):
-        for idx in combinations(range(dim), size):
-            value = _real_minor(m, idx)
-            labels = tuple(i + 1 for i in idx)
-            minors[labels] = value
-            if value < min_value:
-                min_value = value
-                min_index_set = labels
-    return MinorReport(minors=minors, min_value=float(min_value), min_index_set=min_index_set)
+    arrays, labels = _index_sets(dim)
+    dets = np.concatenate([_principal_dets(m, idx) for idx in arrays])
+    values = _real_minors(dets, labels)
+    arg = int(np.argmin(values))
+    return MinorReport(
+        minors=dict(zip(labels, values.tolist())),
+        min_value=float(values[arg]),
+        min_index_set=labels[arg],
+    )
 
 
 def psd_via_minors(matrix, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
@@ -94,14 +131,18 @@ def psd_via_minors(matrix, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
     return all_principal_minors(matrix).min_value >= -tol
 
 
-def is_x_pattern(matrix, atol: float = X_PATTERN_ATOL) -> bool:
-    """True iff nonzero entries sit only on the diagonal and anti-diagonal."""
-    m = linalg.as_square_matrix(matrix)
-    dim = m.shape[0]
+def _off_x_mask(dim: int) -> np.ndarray:
+    """True off the diagonal and anti-diagonal of a dim x dim matrix."""
     mask = np.ones((dim, dim), dtype=bool)
     np.fill_diagonal(mask, False)
     np.fill_diagonal(np.fliplr(mask), False)
-    return bool(np.max(np.abs(m[mask]), initial=0.0) <= atol)
+    return mask
+
+
+def is_x_pattern(matrix, atol: float = X_PATTERN_ATOL) -> bool:
+    """True iff nonzero entries sit only on the diagonal and anti-diagonal."""
+    m = linalg.as_square_matrix(matrix)
+    return bool(np.max(np.abs(m[_off_x_mask(m.shape[0])]), initial=0.0) <= atol)
 
 
 def x_state_key_minors(params: XStateParams) -> tuple[float, float]:
@@ -134,21 +175,26 @@ def _require_three_qubit_x(state: DensityMatrix) -> None:
     if state.dims != (2, 2, 2):
         raise ValidationError(f"expected a three-qubit state, got dims {state.dims}")
     m = state.matrix
-    for i in range(8):
-        for j in range(8):
-            if i != j and i + j != 7 and abs(m[i, j]) > X_PATTERN_ATOL:
-                raise ValidationError(
-                    f"state is not in three-qubit X form: entry ({i + 1},{j + 1}) "
-                    f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
-                )
+    off = _off_x_mask(8) & (np.abs(m) > X_PATTERN_ATOL)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise ValidationError(
+            f"state is not in three-qubit X form: entry ({i + 1},{j + 1}) "
+            f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
+        )
+
+
+_X_PAIR_LABELS = ((1, 8), (2, 7), (3, 6), (4, 5))
+_X_PAIRS = np.array(_X_PAIR_LABELS, dtype=np.intp) - 1
+_X_PAIRS.flags.writeable = False
 
 
 def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, float]:
     """The four 2x2 minors of the partial transpose of a three-qubit X-state
     that can go negative: index pairs {1,8}, {2,7}, {3,6}, {4,5}."""
     _require_three_qubit_x(state)
-    pt = partial_transpose(state, 0)
-    return tuple(principal_minor(pt, (i, 9 - i)) for i in (1, 2, 3, 4))
+    pt = linalg.assert_hermitian(partial_transpose(state, 0))
+    return tuple(_real_minors(_principal_dets(pt, _X_PAIRS), _X_PAIR_LABELS).tolist())
 
 
 def three_qubit_full_minor_identity_check(state: DensityMatrix, rtol: float = 1e-10) -> bool:

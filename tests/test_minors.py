@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from conftest import batched_ginibre, random_hermitian, random_psd
+from conftest import batched_ginibre, batched_partial_transpose_first, random_hermitian, random_psd
 
 from ptmoments import (
+    DensityMatrix,
+    NumericsError,
     ValidationError,
     XStateParams,
     all_principal_minors,
@@ -27,6 +31,31 @@ from ptmoments import (
 # the minors of the transposed matrix that coincide with minors of the state
 # itself, hence are non-negative for every valid two-qubit state
 ALWAYS_NONNEGATIVE = [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (2, 4), (3, 4)]
+
+
+def scalar_principal_minors(matrix):
+    """Loop reference: one np.linalg.det per index set, size-major and
+    lexicographic within a size, minimum kept on strict improvement."""
+    m = np.asarray(matrix, dtype=complex)
+    minors = {}
+    min_value, min_index_set = np.inf, ()
+    for size in range(1, m.shape[0] + 1):
+        for idx in combinations(range(m.shape[0]), size):
+            value = complex(np.linalg.det(m[np.ix_(idx, idx)])).real
+            labels = tuple(i + 1 for i in idx)
+            minors[labels] = value
+            if value < min_value:
+                min_value, min_index_set = value, labels
+    return minors, min_value, min_index_set
+
+
+def assert_matches_scalar_reference(matrix):
+    report = all_principal_minors(matrix)
+    minors, min_value, min_index_set = scalar_principal_minors(matrix)
+    assert list(report.minors) == list(minors)
+    assert list(report.minors.values()) == list(minors.values())
+    assert report.min_value == min_value
+    assert report.min_index_set == min_index_set
 
 
 class TestPrincipalMinor:
@@ -79,6 +108,58 @@ class TestEnumeration:
     def test_dim_cap(self):
         with pytest.raises(ValidationError, match="dim <= 8"):
             all_principal_minors(np.eye(9))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+    def test_batched_matches_scalar_reference_on_random_states(self, dims):
+        dim = int(np.prod(dims))
+        rng = np.random.default_rng(2305 + dim)
+        stack = batched_partial_transpose_first(batched_ginibre(rng, 100, dim), dims)
+        for pt in stack:
+            assert_matches_scalar_reference(pt)
+
+    def test_batched_matches_scalar_reference_on_w_noise_grid(self):
+        for beta in np.linspace(0.0, 1.0, 101):
+            assert_matches_scalar_reference(partial_transpose(w_white_noise(beta), 0))
+
+    def test_tie_goes_to_first_index_set(self):
+        report = all_principal_minors(np.eye(8))
+        assert report.min_value == 1.0
+        assert report.min_index_set == (1,)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_minor_rejected(self):
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = np.nan
+        with pytest.raises(NumericsError, match=r"principal minor \(2,\) is not finite"):
+            all_principal_minors(m)
+        with pytest.raises(NumericsError, match="not finite"):
+            psd_via_minors(m)
+        # off the diagonal, the first non-finite minor is the first pair
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(NumericsError, match=r"principal minor \(1, 2\) is not finite"):
+            all_principal_minors(m)
+
+    def test_imaginary_residue_names_worst_minor(self):
+        # Hermitian within HERMITIAN_ATOL, but the large coherence turns the
+        # 5e-13 defect into a 5e-10 imaginary part of every minor holding 2 and 4
+        m = np.eye(4, dtype=complex)
+        m[1, 3] = 1000.0
+        m[3, 1] = 1000.0 + 5e-13j
+        imag = {}
+        for size in range(1, 5):
+            for idx in combinations(range(4), size):
+                det = complex(np.linalg.det(m[np.ix_(idx, idx)]))
+                imag[tuple(i + 1 for i in idx)] = abs(det.imag)
+        worst = max(imag, key=imag.get)
+        with pytest.raises(NumericsError) as caught:
+            all_principal_minors(m)
+        message = str(caught.value)
+        assert f"principal minor {worst} " in message
+        assert "imaginary part -5.000e-10" in message
+        # just under the bound, the same matrix passes
+        m[3, 1] = 1000.0 + 5e-14j
+        assert all_principal_minors(m).min_index_set == (2, 4)
 
 
 class TestXStateReduction:
@@ -138,6 +219,13 @@ class TestThreeQubitX:
     def test_maximally_mixed(self):
         state = ghz_white_noise(1.0)
         assert three_qubit_x_minors(state) == pytest.approx((1 / 64,) * 4)
+
+    def test_off_pattern_entry_named_in_row_major_order(self):
+        m = ghz_white_noise(0.5).matrix.copy()
+        m[5, 2] = m[2, 5] = 1e-3
+        m[1, 3] = m[3, 1] = 2e-3
+        with pytest.raises(ValidationError, match=r"entry \(2,4\) = 2\.000e-03"):
+            three_qubit_x_minors(DensityMatrix(m, (2, 2, 2)))
 
     def test_w_noise_is_not_x_form(self):
         # the W projector carries coherences off the anti-diagonal, so the
