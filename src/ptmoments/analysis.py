@@ -6,6 +6,7 @@ returns plain JSON-serializable dictionaries or rows of floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import asdict, dataclass
@@ -20,13 +21,14 @@ from .minors import all_principal_minors, is_x_pattern, principal_minor, three_q
 from .moments import (
     CriterionVerdict,
     MomentVector,
+    geometric_mean_moments,
+    moments_from_spectrum,
     p3_oppt_test,
     p3_ppt_test,
     pn_ppt_test,
-    pt_moments,
-    tripartite_moments,
+    resolve_kmax,
 )
-from .ptranspose import negativity, partial_transpose
+from .ptranspose import negativity_from_spectrum, partial_transpose
 from .states import (
     DensityMatrix,
     XStateParams,
@@ -43,40 +45,14 @@ SUBSYSTEM_NAMES = "ABCDEFGH"
 # floor instead of a sign change.
 CONCURRENCE_FLOOR = 1e-12
 
-# Genuine-multipartite-entanglement bounds quoted from the literature; they
-# are documentation only and never computed here.
-LITERATURE_NOTES = {
-    "ghz-noise": {
-        "genuine_multipartite_entanglement": {
-            "alpha_max": 0.571,
-            "status": "literature value; not reproduced by this tool",
-        }
-    },
-    "w-noise": {
-        "genuine_multipartite_entanglement": {
-            "beta_max": 0.521,
-            "status": "literature value; not reproduced by this tool",
-        }
-    },
-}
+# Far above any grid in use: a mistyped --steps or --step cannot allocate without limit.
+MAX_GRID_POINTS = 10_001
 
 _CRITERION_TOKEN = re.compile(r"^p(\d+)(o?)ppt$")
 
 
 # ---------------------------------------------------------------------------
 # Named families
-
-
-def _build_bell(params: dict[str, float]) -> DensityMatrix:
-    return bell_phi_plus()
-
-
-def _build_ghz_noise(params: dict[str, float]) -> DensityMatrix:
-    return ghz_white_noise(params["alpha"])
-
-
-def _build_w_noise(params: dict[str, float]) -> DensityMatrix:
-    return w_white_noise(params["beta"])
 
 
 def _build_knoll(params: dict[str, float]) -> DensityMatrix:
@@ -100,32 +76,85 @@ def _build_x_state(params: dict[str, float]) -> DensityMatrix:
     )
 
 
-# name -> (builder, required params, optional params)
-FAMILIES: dict[str, tuple[Callable[[dict], DensityMatrix], tuple[str, ...], tuple[str, ...]]] = {
-    "bell": (_build_bell, (), ()),
-    "ghz-noise": (_build_ghz_noise, ("alpha",), ()),
-    "w-noise": (_build_w_noise, ("beta",), ()),
-    "knoll": (_build_knoll, ("omega", "eta"), ("gamma",)),
-    "x-state": (
-        _build_x_state,
-        ("r11", "r22", "r33", "r44"),
-        ("re14", "im14", "re23", "im23"),
-    ),
+@dataclass(frozen=True)
+class MinorColumns:
+    """Columns one function of the state computes together, and the floor a sweep boundary crosses."""
+
+    names: tuple[str, ...]
+    compute: Callable[[DensityMatrix], tuple[float, ...]]
+    floor: float = 0.0
+
+
+def _pt_minor(name: str, labels: tuple[int, ...]) -> MinorColumns:
+    """The principal minor of the partial transpose over A at one-based labels."""
+    return MinorColumns((name,), lambda state: (principal_minor(partial_transpose(state, 0), labels),))
+
+
+# Column functions look the minor functions up among this module's globals at
+# call time, so a substitute bound to those names sees every call.
+X2_MINORS = (_pt_minor("minor_14", (1, 4)), _pt_minor("minor_23", (2, 3)))
+_X3_NAMES = ("minor_18", "minor_27", "minor_36", "minor_45")
+X3_MINORS = (MinorColumns(_X3_NAMES, lambda state: three_qubit_x_minors(state)),)
+MIN_PT_MINOR = MinorColumns(
+    ("min_principal_minor",),
+    lambda state: (all_principal_minors(partial_transpose(state, 0)).min_value,),
+)
+CONCURRENCE_COLUMN = MinorColumns(
+    ("concurrence",), lambda state: (concurrence(state),), floor=CONCURRENCE_FLOOR
+)
+
+# Genuine-multipartite-entanglement bounds quoted in reports are documentation
+# only and never computed here.
+_GME = "genuine_multipartite_entanglement"
+_QUOTED = "literature value; not reproduced by this tool"
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named state family and its report's literature note; a sweepable
+    family also names its swept parameter and its sweep's minor columns."""
+
+    name: str
+    build: Callable[[dict[str, float]], DensityMatrix]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    factors: int = 2  # tensor factors of every state it builds
+    sweep_param: str | None = None
+    minor_columns: tuple[MinorColumns, ...] = ()
+    literature: dict | None = None
+
+
+FAMILY_BY_NAME = {
+    family.name: family for family in (
+        Family("bell", lambda params: bell_phi_plus()),
+        Family("ghz-noise", lambda params: ghz_white_noise(params["alpha"]), ("alpha",), factors=3,
+               sweep_param="alpha", minor_columns=X3_MINORS,
+               literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}}),
+        Family("w-noise", lambda params: w_white_noise(params["beta"]), ("beta",), factors=3,
+               sweep_param="beta", minor_columns=(MIN_PT_MINOR,),
+               literature={_GME: {"beta_max": 0.521, "status": _QUOTED}}),
+        Family("knoll", _build_knoll, ("omega", "eta"), ("gamma",),
+               sweep_param="gamma", minor_columns=(*X2_MINORS, CONCURRENCE_COLUMN)),
+        Family(
+            "x-state", _build_x_state, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
+        ),
+    )
 }
 
-# Parameter a sweep may range over, per family.
-SWEEPABLE_PARAM = {"ghz-noise": "alpha", "w-noise": "beta", "knoll": "gamma"}
+
+def sweepable_families() -> list[str]:
+    return [name for name, family in FAMILY_BY_NAME.items() if family.sweep_param]
 
 
 def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
     """Construct a named-family state, validating parameter names."""
-    if family not in FAMILIES:
+    record = FAMILY_BY_NAME.get(family)
+    if record is None:
         raise ValidationError(
-            f"unknown family {family!r}; known families: {', '.join(sorted(FAMILIES))}"
+            f"unknown family {family!r}; known families: {', '.join(sorted(FAMILY_BY_NAME))}"
         )
-    builder, required, optional = FAMILIES[family]
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(params) - allowed)
+    required, optional = record.required, record.optional
+    unknown = sorted(set(params) - set(required) - set(optional))
     if unknown:
         raise ValidationError(
             f"unknown parameter(s) {', '.join(unknown)} for family {family!r}; "
@@ -137,7 +166,7 @@ def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
         raise ValidationError(
             f"family {family!r} is missing parameter(s): {', '.join(missing)}"
         )
-    return builder(params)
+    return record.build(params)
 
 
 def parse_param_assignments(assignments) -> dict[str, float]:
@@ -173,7 +202,7 @@ def state_from_payload(payload) -> DensityMatrix:
     if "dims" not in payload or "matrix" not in payload:
         raise ValidationError("state payload needs 'dims' and 'matrix' fields")
     dims_raw = payload["dims"]
-    if not isinstance(dims_raw, list) or not dims_raw:
+    if not isinstance(dims_raw, list) or not dims_raw or any(isinstance(d, bool) for d in dims_raw):
         raise ValidationError("'dims' must be a nonempty array of integers")
     try:
         dims = tuple(int(d) for d in dims_raw)
@@ -191,7 +220,7 @@ def state_from_payload(payload) -> DensityMatrix:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise ValidationError(
                 f"matrix entry {idx} must be a [re, im] pair of numbers, got {entry!r}"
@@ -250,46 +279,41 @@ def parse_criteria(selection) -> list[str]:
 
 
 def evaluate_criterion(token: str, moments: MomentVector, tol: float) -> CriterionVerdict:
-    match = _CRITERION_TOKEN.match(token)
-    if not match:
-        raise ValidationError(f"unknown criterion token {token!r}")
-    n, optimal = int(match.group(1)), bool(match.group(2))
-    if optimal:
+    """Verdict of one token as `parse_criteria` or `default_criteria` spell it."""
+    if token == "p3oppt":
         return p3_oppt_test(moments, tol)
-    if n == 3:
+    if token == "p3ppt":
         return p3_ppt_test(moments, tol)
-    return pn_ppt_test(moments, n, tol)
+    return pn_ppt_test(moments, int(token[1:-3]), tol)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
 
-def _subsystem_names(state: DensityMatrix) -> list[str]:
-    return [SUBSYSTEM_NAMES[s] for s in range(state.num_factors)]
+def _pt_spectra(state: DensityMatrix) -> Callable[[int], np.ndarray]:
+    """spectrum(s): the ascending spectrum of rho^T_s, computed once per (state, s) on first
+    use.  The moments, negativity, smallest eigenvalue and PPT verdict all derive from it."""
+    return functools.cache(lambda s: linalg.hermitian_eigenvalues(partial_transpose(state, s)))
 
 
-def criteria_moments(state: DensityMatrix, kmax: int | None = None) -> tuple[MomentVector, str]:
-    """The moment vector the criteria are evaluated on, plus its provenance:
-    subsystem-A moments for bipartite states, the tripartite geometric mean
-    for three-factor states."""
+def criteria_moments(
+    state: DensityMatrix, moments: Callable[[int], MomentVector]
+) -> tuple[MomentVector, str]:
+    """The moment vector the criteria are evaluated on, plus its provenance: subsystem-A
+    moments for bipartite states, the tripartite geometric mean for three-factor states,
+    from `moments(s)`, the PT moments over subsystem s."""
     if state.num_factors == 3:
-        return tripartite_moments(state, kmax), "tripartite-geometric-mean"
-    return pt_moments(state, 0, kmax), SUBSYSTEM_NAMES[0]
+        return geometric_mean_moments([moments(s) for s in range(3)]), "tripartite-geometric-mean"
+    return moments(0), SUBSYSTEM_NAMES[0]
 
 
 def _key_minors_block(state: DensityMatrix) -> dict:
-    pt0 = partial_transpose(state, 0)
-    if state.dims == (2, 2) and is_x_pattern(state.matrix):
-        return {
-            "minor_14": principal_minor(pt0, (1, 4)),
-            "minor_23": principal_minor(pt0, (2, 3)),
-        }
-    if state.dims == (2, 2, 2) and is_x_pattern(state.matrix):
-        m18, m27, m36, m45 = three_qubit_x_minors(state)
-        return {"minor_18": m18, "minor_27": m27, "minor_36": m36, "minor_45": m45}
+    if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
+        groups = X2_MINORS if state.num_factors == 2 else X3_MINORS
+        return {name: v for group in groups for name, v in zip(group.names, group.compute(state))}
     if state.dim <= 8:
-        report = all_principal_minors(pt0)
+        report = all_principal_minors(partial_transpose(state, 0))
         return {
             "min_principal_minor": report.min_value,
             "min_index_set": list(report.min_index_set),
@@ -297,15 +321,10 @@ def _key_minors_block(state: DensityMatrix) -> dict:
     return {"note": f"principal-minor enumeration unavailable for dim > 8"}
 
 
-def _oracle_block(state: DensityMatrix, tol: float) -> dict:
-    pt_min: dict[str, float] = {}
-    ppt: dict[str, bool] = {}
-    for s, name in enumerate(_subsystem_names(state)):
-        eigs = linalg.hermitian_eigenvalues(partial_transpose(state, s))
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        pt_min[name] = float(eigs[0])
-        ppt[name] = bool(eigs[0] >= -tol * scale)
-    return {"pt_min_eigenvalue": pt_min, "ppt": ppt}
+def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
+    """Smallest eigenvalue and PPT verdict of each named PT spectrum."""
+    ppt = {name: bool(eigs[0] >= -linalg.relative_tolerance(eigs, tol)) for name, eigs in spectra.items()}
+    return {"pt_min_eigenvalue": {name: float(eigs[0]) for name, eigs in spectra.items()}, "ppt": ppt}
 
 
 def analyze_state(
@@ -316,52 +335,50 @@ def analyze_state(
     tol: float = linalg.DEFAULT_PSD_TOL,
 ) -> dict:
     """Full analysis report: moments, criterion verdicts, negativities, key
-    minors, and the eigenvalue-oracle PPT verdicts."""
-    crit_mv, source = criteria_moments(state, kmax)
-    names = parse_criteria(criteria) if criteria else default_criteria(crit_mv.kmax)
+    minors, and the eigenvalue-oracle PPT verdicts, all read off one spectrum
+    per partial transpose."""
+    kmax = resolve_kmax(state.num_factors, kmax)
+    spectrum = _pt_spectra(state)
+    per_subsystem = [
+        moments_from_spectrum(spectrum(s), kmax, s, state.dim) for s in range(state.num_factors)
+    ]
+    crit_mv, source = criteria_moments(state, per_subsystem.__getitem__)
+    names = parse_criteria(criteria) if criteria else default_criteria(kmax)
     verdicts = [evaluate_criterion(token, crit_mv, tol) for token in names]
-    per_subsystem = {
-        name: list(pt_moments(state, s, crit_mv.kmax).values)
-        for s, name in enumerate(_subsystem_names(state))
-    }
+    spectra = {SUBSYSTEM_NAMES[s]: spectrum(s) for s in range(state.num_factors)}
     report = {
         "input": descriptor,
         "dims": list(state.dims),
-        "kmax": crit_mv.kmax,
+        "kmax": kmax,
         "tolerance": tol,
         "state": state_payload(state),
-        "moments": per_subsystem,
+        "moments": {name: list(mv.values) for name, mv in zip(spectra, per_subsystem)},
         "criteria_moments": {"source": source, "values": list(crit_mv.values)},
         "criteria": [asdict(v) for v in verdicts],
-        "negativity": {
-            name: negativity(state, s, tol)
-            for s, name in enumerate(_subsystem_names(state))
-        },
+        "negativity": {name: negativity_from_spectrum(eigs, tol) for name, eigs in spectra.items()},
         "key_minors": _key_minors_block(state),
-        "oracle": _oracle_block(state, tol),
+        "oracle": _oracle_block(spectra, tol),
     }
     if state.dims == (2, 2):
         report["concurrence"] = concurrence(state)
-    family = descriptor.get("family")
-    if family in LITERATURE_NOTES:
-        report["literature"] = LITERATURE_NOTES[family]
+    family = FAMILY_BY_NAME.get(descriptor.get("family"))
+    if family is not None and family.literature is not None:
+        report["literature"] = family.literature
     return report
 
 
 def oracle_state(state: DensityMatrix, descriptor: dict, tol: float = linalg.DEFAULT_PSD_TOL) -> dict:
     """Eigenvalue report: spectrum of the state and of every single-subsystem
     partial transpose, with PPT verdicts."""
-    pt_eigs = {
-        name: [float(v) for v in linalg.hermitian_eigenvalues(partial_transpose(state, s))]
-        for s, name in enumerate(_subsystem_names(state))
-    }
+    spectrum = _pt_spectra(state)
+    spectra = {SUBSYSTEM_NAMES[s]: spectrum(s) for s in range(state.num_factors)}
     report = {
         "input": descriptor,
         "dims": list(state.dims),
         "state_eigenvalues": [float(v) for v in linalg.hermitian_eigenvalues(state.matrix)],
-        "pt_eigenvalues": pt_eigs,
+        "pt_eigenvalues": {name: [float(v) for v in eigs] for name, eigs in spectra.items()},
     }
-    report.update(_oracle_block(state, tol))
+    report.update(_oracle_block(spectra, tol))
     return report
 
 
@@ -399,32 +416,18 @@ def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6, max_iter: in
     return 0.5 * (lo + hi)
 
 
-def _sweep_evaluator(
-    family: str,
-    fixed: dict[str, float],
-    sweep_param: str,
-    criteria: list[str],
-    resolved_kmax: int,
-    tol: float,
-):
+def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str], kmax: int, tol: float):
     """Build (columns, evaluate, boundary transforms) for one family sweep."""
-
-    def build(value: float) -> DensityMatrix:
-        params = dict(fixed)
-        params[sweep_param] = value
-        return build_family_state(family, params)
-
-    moment_cols = [f"p{k}" for k in range(1, resolved_kmax + 1)]
+    param = family.sweep_param
+    moment_cols = [f"p{k}" for k in range(1, kmax + 1)]
     margin_cols = [f"{token}_margin" for token in criteria]
-    columns = [sweep_param, *moment_cols, *margin_cols]
-    columns += ["negativity_A", "pt_min_eig_A"]
-    if family == "ghz-noise":
-        minor_cols = ["minor_18", "minor_27", "minor_36", "minor_45"]
-    elif family == "w-noise":
-        minor_cols = ["min_principal_minor"]
-    else:
-        minor_cols = ["minor_14", "minor_23", "concurrence"]
-    columns += minor_cols
+    columns = [param, *moment_cols, *margin_cols, "negativity_A", "pt_min_eig_A"]
+    # Columns whose zero crossings get refined by bisection, each mapped to
+    # the floor it crosses.
+    transforms = dict.fromkeys([*margin_cols, "pt_min_eig_A"], 0.0)
+    for group in family.minor_columns:
+        columns += group.names
+        transforms.update(dict.fromkeys(group.names, group.floor))
 
     def evaluate(value: float, only: str | None = None) -> dict[str, float]:
         """The row at one parameter value; with `only`, just that column."""
@@ -432,43 +435,26 @@ def _sweep_evaluator(
         def wanted(*names: str) -> bool:
             return only is None or only in names
 
-        state = build(value)
-        row: dict[str, float] = {sweep_param: value}
+        state = build_family_state(family.name, {**fixed, param: value})
+        spectrum = _pt_spectra(state)
+        row: dict[str, float] = {param: value}
         if wanted(*moment_cols, *margin_cols):
-            mv, _ = criteria_moments(state, resolved_kmax)
+            mv, _ = criteria_moments(
+                state, lambda s: moments_from_spectrum(spectrum(s), kmax, s, state.dim)
+            )
             row.update(zip(moment_cols, mv.values))
             for token, column in zip(criteria, margin_cols):
                 if wanted(column):
                     row[column] = evaluate_criterion(token, mv, tol).margin
         if wanted("negativity_A"):
-            row["negativity_A"] = negativity(state, 0, tol)
-        if wanted("pt_min_eig_A", "min_principal_minor", "minor_14", "minor_23"):
-            pt0 = partial_transpose(state, 0)
+            row["negativity_A"] = negativity_from_spectrum(spectrum(0), tol)
         if wanted("pt_min_eig_A"):
-            row["pt_min_eig_A"] = float(linalg.hermitian_eigenvalues(pt0)[0])
-        if family == "ghz-noise":
-            if wanted(*minor_cols):
-                m18, m27, m36, m45 = three_qubit_x_minors(state)
-                row.update(minor_18=m18, minor_27=m27, minor_36=m36, minor_45=m45)
-        elif family == "w-noise":
-            if wanted("min_principal_minor"):
-                row["min_principal_minor"] = all_principal_minors(pt0).min_value
-        else:
-            if wanted("minor_14"):
-                row["minor_14"] = principal_minor(pt0, (1, 4))
-            if wanted("minor_23"):
-                row["minor_23"] = principal_minor(pt0, (2, 3))
-            if wanted("concurrence"):
-                row["concurrence"] = concurrence(state)
+            row["pt_min_eig_A"] = float(spectrum(0)[0])
+        for group in family.minor_columns:
+            if wanted(*group.names):
+                row.update(zip(group.names, group.compute(state)))
         return row if only is None else {only: row[only]}
 
-    # Columns whose zero crossings get refined by bisection; concurrence is
-    # clamped at 0 so its boundary is crossed at a small positive floor.
-    boundary = list(margin_cols)
-    boundary += ["pt_min_eig_A"] + [c for c in minor_cols if c != "concurrence"]
-    transforms = {c: 0.0 for c in boundary}
-    if "concurrence" in columns:
-        transforms["concurrence"] = CONCURRENCE_FLOOR
     return columns, evaluate, transforms
 
 
@@ -488,24 +474,23 @@ def run_sweep(
     and oracle column are refined by bisection to 1e-6 in the parameter.
     Bisection evaluates only the column it refines, not the whole row.
     """
-    if family not in SWEEPABLE_PARAM:
+    record = FAMILY_BY_NAME.get(family)
+    if record is None or record.sweep_param is None:
         raise ValidationError(
             f"family {family!r} is not sweepable; choose from "
-            f"{', '.join(sorted(SWEEPABLE_PARAM))}"
+            f"{', '.join(sorted(sweepable_families()))}"
         )
-    sweep_param = SWEEPABLE_PARAM[family]
     if not (0.0 <= lo < hi <= 1.0):
         raise ValidationError(
             f"sweep range [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1"
         )
     if count < 2:
         raise ValidationError(f"sweep needs at least 2 grid points, got {count}")
-    if kmax is None:
-        kmax = 6 if family == "knoll" else 5
+    if count > MAX_GRID_POINTS:
+        raise ValidationError(f"sweep grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
+    kmax = resolve_kmax(record.factors, kmax)
     names = parse_criteria(criteria) if criteria else default_criteria(kmax)
-    columns, evaluate, transforms = _sweep_evaluator(
-        family, fixed, sweep_param, names, kmax, tol
-    )
+    columns, evaluate, transforms = _sweep_evaluator(record, fixed, names, kmax, tol)
     grid = np.linspace(lo, hi, count)
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericsError, ValidationError
 from .minors import is_x_pattern
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_unit_interval
 
 COMPLETENESS_ATOL = 1e-11
 
@@ -53,13 +53,6 @@ class KrausChannel:
         return self.operators[0].shape[0]
 
 
-def _check_range(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Single-qubit amplitude damping: |1> decays to |0> with probability gamma.
 
@@ -68,7 +61,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
         K0 = [[1, 0], [0, sqrt(1-gamma)]]
         K1 = [[0, sqrt(gamma)], [0, 0]]
     """
-    gamma = _check_range("gamma", gamma)
+    gamma = _check_unit_interval("gamma", gamma)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return KrausChannel((k0, k1))
@@ -92,9 +85,9 @@ def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChan
     re-verified at construction.  Operators that vanish identically (K3 and
     K4 at gamma = 0) are dropped.
     """
-    omega = _check_range("omega", omega)
-    eta = _check_range("eta", eta)
-    gamma = _check_range("gamma", gamma)
+    omega = _check_unit_interval("omega", omega)
+    eta = _check_unit_interval("eta", eta)
+    gamma = _check_unit_interval("gamma", gamma)
     denom_prep = omega + eta * (1.0 - omega)
     denom_damped = omega + gamma * eta * (1.0 - omega)
     if denom_prep == 0.0 or denom_damped == 0.0:

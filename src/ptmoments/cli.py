@@ -21,7 +21,7 @@ from .linalg import DEFAULT_PSD_TOL
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", help="named state family (bell, ghz-noise, w-noise, knoll, x-state)")
+    parser.add_argument("--family", help=f"named state family ({', '.join(analysis.FAMILY_BY_NAME)})")
     parser.add_argument(
         "--param",
         action="append",
@@ -55,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(oracle)
 
     sweep = sub.add_parser("sweep", help="criterion margins over a parameter grid")
-    sweep.add_argument("--family", required=True, help="sweepable family (ghz-noise, w-noise, knoll)")
+    sweep.add_argument(
+        "--family", required=True, help=f"sweepable family ({', '.join(analysis.sweepable_families())})"
+    )
     sweep.add_argument(
         "--param",
         action="append",
@@ -127,7 +129,7 @@ def _run_oracle(args) -> None:
 def _run_sweep(args) -> None:
     fixed = analysis.parse_param_assignments(args.param)
     name, lo, hi = _parse_range(args.range)
-    expected = analysis.SWEEPABLE_PARAM.get(args.family)
+    expected = getattr(analysis.FAMILY_BY_NAME.get(args.family), "sweep_param", None)
     if expected is not None and name != expected:
         raise ValidationError(
             f"family {args.family!r} sweeps over {expected!r}, not {name!r}"
@@ -135,9 +137,10 @@ def _run_sweep(args) -> None:
     if name in fixed:
         raise ValidationError(f"swept parameter {name!r} must not also be fixed via --param")
     if args.step is not None:
-        if args.step <= 0:
+        if not args.step > 0:
             raise ValidationError(f"--step must be positive, got {args.step}")
-        count = int(round((hi - lo) / args.step)) + 1
+        # min() turns an infinite or NaN point count, which round() rejects, into one run_sweep rejects
+        count = int(round(min(analysis.MAX_GRID_POINTS, (hi - lo) / args.step))) + 1
     else:
         count = args.steps
     result = analysis.run_sweep(

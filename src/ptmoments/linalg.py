@@ -50,6 +50,15 @@ def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return m
 
 
+def relative_tolerance(eigs, tol: float) -> float:
+    """`tol` scaled by max(1, max |eig|), the rule of every positivity decision.
+
+    The order-3 moment criteria use `tol` as is, which is the same: a partial transpose has unit
+    trace and Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1.
+    """
+    return tol * max(1.0, float(np.max(np.abs(eigs))))
+
+
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
     m = assert_hermitian(matrix)
@@ -77,8 +86,7 @@ def matrix_power_trace(matrix, k: int) -> float:
     eigs = np.linalg.eigvalsh(m)
     via_spectrum = float(np.sum(eigs ** k))
     via_product = float(np.trace(np.linalg.matrix_power(m, int(k))).real)
-    scale = max(1.0, float(np.max(np.abs(eigs)) ** k) * m.shape[0])
-    if abs(via_spectrum - via_product) > 1e-11 * scale:
+    if abs(via_spectrum - via_product) > relative_tolerance(m.shape[0] * eigs ** k, 1e-11):
         raise NumericsError(
             f"power-trace cross-check failed for k={k}: "
             f"spectrum {via_spectrum:.15g} vs product {via_product:.15g}"
@@ -91,5 +99,4 @@ def is_psd(matrix, tol: float = DEFAULT_PSD_TOL) -> bool:
     if tol < 0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     eigs = hermitian_eigenvalues(matrix)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    return bool(eigs[0] >= -tol * scale)
+    return bool(eigs[0] >= -relative_tolerance(eigs, tol))

@@ -23,6 +23,9 @@ from .states import DensityMatrix, XStateParams
 # cases p2 in {1, 1/2, 1/3, 1/4} do not flip under the floor function.
 FLOOR_SNAP = 1e-12
 
+# Far above any criterion in use: a mistyped --kmax cannot run the power sums without limit.
+MAX_KMAX = 32
+
 
 @dataclass(frozen=True)
 class MomentVector:
@@ -78,20 +81,32 @@ class CriterionVerdict:
                 "margin < -tolerance"
             )
 
+    @classmethod
+    def from_margin(cls, criterion: str, margin: float, tolerance: float) -> CriterionVerdict:
+        """The verdict whose `violated` follows from the margin and tolerance."""
+        return cls(criterion, margin < -tolerance, margin, tolerance)
 
-def _default_kmax(state: DensityMatrix) -> int:
-    return 6 if state.num_factors == 2 else 5
+
+def resolve_kmax(num_factors: int, kmax: int | None) -> int:
+    """`kmax` checked against 1..MAX_KMAX, or by default 6 for a bipartite state and 5 otherwise."""
+    if kmax is None:
+        return 6 if num_factors == 2 else 5
+    if not 1 <= kmax <= MAX_KMAX:
+        raise ValidationError(f"kmax must lie in 1..{MAX_KMAX}, got {kmax}")
+    return kmax
+
+
+def moments_from_spectrum(eigs: np.ndarray, kmax: int, subsystem: int, dim: int) -> MomentVector:
+    """Moments p_1..p_kmax as power sums of a partial transpose's spectrum."""
+    values = tuple(float(np.sum(eigs ** k)) for k in range(1, kmax + 1))
+    return MomentVector(values=values, subsystem=subsystem, dim=dim)
 
 
 def pt_moments(state: DensityMatrix, subsystem: int, kmax: int | None = None) -> MomentVector:
     """Moments Tr[(rho^T_s)^k] for k = 1..kmax from the transpose's spectrum."""
-    if kmax is None:
-        kmax = _default_kmax(state)
-    if kmax < 1:
-        raise ValidationError(f"kmax must be >= 1, got {kmax}")
+    kmax = resolve_kmax(state.num_factors, kmax)
     eigs = linalg.hermitian_eigenvalues(partial_transpose(state, subsystem))
-    values = tuple(float(np.sum(eigs ** k)) for k in range(1, kmax + 1))
-    return MomentVector(values=values, subsystem=subsystem, dim=state.dim)
+    return moments_from_spectrum(eigs, kmax, subsystem, state.dim)
 
 
 def hankel(moments: MomentVector, k: int) -> np.ndarray:
@@ -116,24 +131,14 @@ def pn_ppt_test(moments: MomentVector, n: int, tol: float = linalg.DEFAULT_PSD_T
     matrix = hankel(moments, (n - 1) // 2)
     eigs = np.linalg.eigvalsh(matrix)
     margin = float(eigs[0])
-    tolerance = tol * max(1.0, float(np.max(np.abs(eigs))))
-    return CriterionVerdict(
-        criterion=f"p{n}-ppt",
-        violated=margin < -tolerance,
-        margin=margin,
-        tolerance=tolerance,
-    )
+    return CriterionVerdict.from_margin(f"p{n}-ppt", margin, linalg.relative_tolerance(eigs, tol))
 
 
 def p3_ppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
-    """Order-3 criterion in determinant form: separability requires p3 >= p2^2."""
+    """Order-3 criterion in determinant form: separability requires p3 >= p2^2;
+    its absolute tolerance equals the relative one (see `linalg.relative_tolerance`)."""
     margin = moments.p(3) - moments.p(2) ** 2
-    return CriterionVerdict(
-        criterion="p3-ppt",
-        violated=margin < -tol,
-        margin=margin,
-        tolerance=tol,
-    )
+    return CriterionVerdict.from_margin("p3-ppt", margin, tol)
 
 
 def oppt_threshold(p2: float) -> float:
@@ -156,14 +161,19 @@ def oppt_threshold(p2: float) -> float:
 
 
 def p3_oppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
-    """Optimal order-3 criterion: necessary and sufficient given (p1, p2, p3)."""
+    """Optimal order-3 criterion, necessary and sufficient given (p1, p2, p3);
+    its absolute tolerance equals the relative one (see `linalg.relative_tolerance`)."""
     margin = moments.p(3) - oppt_threshold(moments.p(2))
-    return CriterionVerdict(
-        criterion="p3-oppt",
-        violated=margin < -tol,
-        margin=margin,
-        tolerance=tol,
+    return CriterionVerdict.from_margin("p3-oppt", margin, tol)
+
+
+def geometric_mean_moments(vectors) -> MomentVector:
+    """Entrywise geometric mean of three moment vectors of one state, using
+    the signed real cube root so odd moments stay real."""
+    values = tuple(
+        float(np.cbrt(np.prod([mv.values[i] for mv in vectors]))) for i in range(vectors[0].kmax)
     )
+    return MomentVector(values=values, subsystem=None, dim=vectors[0].dim)
 
 
 def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentVector:
@@ -177,14 +187,8 @@ def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentV
         raise ValidationError(
             f"tripartite moments need a 3-factor state, got {state.num_factors} factors"
         )
-    if kmax is None:
-        kmax = 5
-    per_subsystem = [pt_moments(state, s, kmax) for s in range(3)]
-    values = tuple(
-        float(np.cbrt(np.prod([mv.values[i] for mv in per_subsystem])))
-        for i in range(kmax)
-    )
-    return MomentVector(values=values, subsystem=None, dim=state.dim)
+    kmax = resolve_kmax(3, kmax)
+    return geometric_mean_moments([pt_moments(state, s, kmax) for s in range(3)])
 
 
 def x_state_moments_closed_form(params: XStateParams) -> MomentVector:

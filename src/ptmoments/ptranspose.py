@@ -42,8 +42,12 @@ def negativity(state: DensityMatrix, subsystem: int, tol: float = linalg.DEFAULT
     """Sum of |negative eigenvalues| of the partial transpose; zero iff PPT
     within tolerance."""
     eigs = linalg.hermitian_eigenvalues(partial_transpose(state, subsystem))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    negative = eigs[eigs < -tol * scale]
+    return negativity_from_spectrum(eigs, tol)
+
+
+def negativity_from_spectrum(eigs: np.ndarray, tol: float) -> float:
+    """Summed |eigenvalues| of a partial transpose's spectrum below the relative tolerance."""
+    negative = eigs[eigs < -linalg.relative_tolerance(eigs, tol)]
     if negative.size == 0:
         return 0.0
     return float(-negative.sum())

@@ -22,9 +22,9 @@ TRACE_ATOL = 1e-12
 class DensityMatrix:
     """A validated density matrix with its tensor-factor dimensions.
 
-    Invariants enforced at construction: unit trace (1e-12), Hermiticity
-    (1e-12), positive semidefiniteness (relative 1e-10), and the product of
-    `dims` matching the matrix dimension.
+    Invariants enforced at construction: finite entries, unit trace
+    (1e-12), Hermiticity (1e-12), positive semidefiniteness (relative 1e-10),
+    and the product of `dims` matching the matrix dimension.
     """
 
     matrix: np.ndarray
@@ -39,12 +39,14 @@ class DensityMatrix:
             raise ValidationError(
                 f"product of dims {dims} does not match matrix dimension {m.shape[0]}"
             )
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ValidationError(f"matrix entry m[{i},{j}] = {m[i, j]} is not finite")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace must be 1, got {trace:.15g}")
-        linalg.assert_hermitian(m)
-        if not linalg.is_psd(m):
-            eigs = np.linalg.eigvalsh(m)
+        eigs = linalg.hermitian_eigenvalues(m)
+        if eigs[0] < -linalg.relative_tolerance(eigs, linalg.DEFAULT_PSD_TOL):
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
             )

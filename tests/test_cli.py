@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ptmoments.analysis import format_float, state_payload
+from ptmoments.analysis import MAX_GRID_POINTS, format_float, state_payload
 from ptmoments.cli import main
+from ptmoments.moments import MAX_KMAX
 from ptmoments.states import bell_phi_plus
 
 
@@ -81,6 +82,34 @@ class TestAnalyze:
         bad.write_text(json.dumps(payload))
         assert run(["analyze", "--file", str(bad)]) == 2
         assert "entry 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_nan_entry_rejected(self, tmp_path, capsys, command):
+        # oracle used to report "ppt": true on this file, and analyze to fail
+        # with "p_1 must equal 1"
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dims": [2], "matrix": [[1, 0], [0, 0], [0, 0], [NaN, 0]]}')
+        assert run([command, "--file", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "m[1,1]" in err and "not finite" in err
+
+    @pytest.mark.parametrize(
+        "payload,where",
+        [
+            ({"dims": [2], "matrix": [[True, 0], [0, 0], [0, 0], [0, 0]]}, "entry 0"),
+            ({"dims": [2], "matrix": [[1, 0], [0, 0], [0, False], [0, 0]]}, "entry 2"),
+            ({"dims": [True, 2], "matrix": [[0.5, 0]] + [[0, 0]] * 2 + [[0.5, 0]]}, "'dims'"),
+        ],
+    )
+    def test_boolean_entries_rejected(self, tmp_path, capsys, payload, where):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["analyze", "--file", str(bad)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_kmax_cap(self, capsys):
+        assert run(["analyze", "--family", "bell", "--kmax", str(MAX_KMAX + 1)]) == 2
+        assert f"1..{MAX_KMAX}" in capsys.readouterr().err
 
     def test_non_psd_matrix_rejected(self, tmp_path, capsys):
         bad = tmp_path / "npsd.json"
@@ -226,6 +255,32 @@ class TestSweep:
 
     def test_range_outside_unit_interval(self, capsys):
         assert run(["sweep", "--family", "ghz-noise", "--range", "alpha=0:1.5"]) == 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--steps", str(MAX_GRID_POINTS + 1)],
+            ["--step", repr(1.0 / MAX_GRID_POINTS)],
+            ["--step", "1e-320"],  # the point count overflows to inf
+        ],
+    )
+    def test_grid_cap(self, monkeypatch, capsys, grid):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        assert run(["sweep", "--family", "ghz-noise", "--range", "alpha=0:1", *grid]) == 2
+        assert f"limit of {MAX_GRID_POINTS}" in capsys.readouterr().err
+
+    def test_sweep_kmax_cap(self, capsys):
+        argv = ["sweep", "--family", "ghz-noise", "--range", "alpha=0:1", "--kmax", str(MAX_KMAX + 1)]
+        assert run(argv) == 2
+        assert f"1..{MAX_KMAX}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["bell", "x-state"])
+    def test_family_without_sweep_data_is_not_sweepable(self, capsys, family):
+        assert run(["sweep", "--family", family, "--range", "r11=0:1"]) == 2
+        assert "not sweepable" in capsys.readouterr().err
 
     def test_wrong_sweep_parameter(self, capsys):
         assert run(["sweep", "--family", "ghz-noise", "--range", "beta=0:1"]) == 2

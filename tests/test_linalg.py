@@ -15,8 +15,14 @@ from ptmoments import (
     partial_transpose,
     psd_via_minors,
 )
+from ptmoments.linalg import relative_tolerance
 
 BELL_PT_EIGS = np.array([-0.5, 0.5, 0.5, 0.5])
+
+
+def test_relative_tolerance_scales_by_spectral_radius_above_one():
+    assert relative_tolerance(np.array([-0.5, 0.25]), 1e-10) == 1e-10
+    assert relative_tolerance(np.array([-3.0, 2.0]), 1e-10) == 3e-10
 
 
 def test_identity_eigenvalues():

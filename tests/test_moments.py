@@ -20,12 +20,14 @@ from ptmoments import (
     partial_transpose,
     pn_ppt_test,
     pt_moments,
+    random_density_matrix,
     random_x_state,
     tripartite_moments,
     w_white_noise,
     x_state,
     x_state_moments_closed_form,
 )
+from ptmoments.moments import MAX_KMAX
 
 GHZ_POLYNOMIALS = (
     lambda a: 1.0,
@@ -83,6 +85,22 @@ class TestPtMoments:
         mv = pt_moments(ghz_white_noise(alpha), 0, 5)
         for k, poly in enumerate(GHZ_POLYNOMIALS):
             assert mv.values[k] == pytest.approx(poly(alpha), abs=1e-10)
+
+    def test_moments_beyond_the_first_are_at_most_one(self):
+        # why the order-3 criteria's absolute tolerance equals the relative one
+        rng = np.random.default_rng(4)
+        for dim, dims in ((4, (2, 2)), (6, (3, 2)), (8, (2, 2, 2))):
+            for _ in range(20):
+                state = random_density_matrix(dim, rng, dims)
+                for s in range(len(dims)):
+                    assert all(abs(p) <= 1.0 + 1e-12 for p in pt_moments(state, s, 7).values[1:])
+
+    def test_kmax_cap(self):
+        assert pt_moments(bell_phi_plus(), 0, MAX_KMAX).kmax == MAX_KMAX
+        with pytest.raises(ValidationError, match=f"1..{MAX_KMAX}"):
+            pt_moments(bell_phi_plus(), 0, MAX_KMAX + 1)
+        with pytest.raises(ValidationError, match=f"1..{MAX_KMAX}"):
+            tripartite_moments(ghz_white_noise(0.5), MAX_KMAX + 1)
 
     def test_default_kmax(self):
         assert pt_moments(bell_phi_plus(), 0).kmax == 6

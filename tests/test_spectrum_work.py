@@ -1,0 +1,97 @@
+"""Deterministic eigendecomposition counts: each partial transpose is
+diagonalised once per (state, subsystem).  No wall-clock assertions."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from ptmoments import analysis, bell_phi_plus, ghz_white_noise, random_density_matrix
+from ptmoments.analysis import FAMILY_BY_NAME, build_family_state, sweepable_families
+from ptmoments.moments import resolve_kmax
+from ptmoments.ptranspose import partial_transpose
+
+# One valid parameter set per family; a new family must add one here.
+SAMPLE_PARAMS = {
+    "bell": {},
+    "ghz-noise": {"alpha": 0.5},
+    "w-noise": {"beta": 0.5},
+    "knoll": {"omega": 0.12, "eta": 0.21, "gamma": 0.3},
+    "x-state": {"r11": 0.4, "r22": 0.1, "r33": 0.1, "r44": 0.4, "re14": 0.3},
+}
+
+
+@pytest.fixture
+def eig_inputs(monkeypatch):
+    """Every matrix handed to np.linalg.eigvalsh from here on."""
+    inputs = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return inputs
+
+
+# 3 PT spectra, plus the Hankel B2 of p5ppt (2 and 1 for two qubits); the
+# oracle adds the state's own spectrum instead.
+@pytest.mark.parametrize(
+    "make,analyze_eigs,oracle_eigs",
+    [
+        (lambda: ghz_white_noise(0.5), 4, 4),
+        (lambda: random_density_matrix(8, 1), 4, 4),
+        (bell_phi_plus, 3, 3),
+        (lambda: random_density_matrix(4, 1), 3, 3),
+    ],
+)
+def test_report_eigendecompositions(eig_inputs, make, analyze_eigs, oracle_eigs):
+    state = make()
+    eig_inputs.clear()
+    analysis.analyze_state(state, {})
+    assert len(eig_inputs) == analyze_eigs
+    eig_inputs.clear()
+    analysis.oracle_state(state, {})
+    assert len(eig_inputs) == oracle_eigs
+
+
+def _evaluator(name: str):
+    family = FAMILY_BY_NAME[name]
+    fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
+    kmax = resolve_kmax(family.factors, None)
+    criteria = analysis.default_criteria(kmax)
+    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10)
+
+
+@pytest.mark.parametrize("name,spectra", [("w-noise", 3), ("ghz-noise", 3), ("knoll", 1)])
+def test_sweep_row_pt_spectra(eig_inputs, name, spectra):
+    _, evaluate, _ = _evaluator(name)
+    param = FAMILY_BY_NAME[name].sweep_param
+    state = build_family_state(name, {**SAMPLE_PARAMS[name], param: 0.4})
+    pts = {partial_transpose(state, s).tobytes() for s in range(state.num_factors)}
+    eig_inputs.clear()
+    evaluate(0.4)
+    assert sum(a.tobytes() in pts for a in eig_inputs) == spectra
+
+
+@pytest.mark.parametrize("name", sweepable_families())
+def test_column_evaluation_matches_full_row(name):
+    columns, evaluate, transforms = _evaluator(name)
+    assert set(transforms) <= set(columns)
+    for x in (0.05, 0.4, 0.77, 0.95):
+        row = evaluate(x)
+        assert set(row) == set(columns)
+        for column in transforms:
+            assert evaluate(x, only=column) == {column: row[column]}
+
+
+def test_family_records():
+    assert set(SAMPLE_PARAMS) == set(FAMILY_BY_NAME)
+    for name, family in FAMILY_BY_NAME.items():
+        state = build_family_state(name, SAMPLE_PARAMS[name])
+        assert state.num_factors == family.factors
+        if family.sweep_param is None:
+            assert family.minor_columns == ()
+        else:
+            assert family.sweep_param in (*family.required, *family.optional)

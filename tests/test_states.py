@@ -169,6 +169,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             DensityMatrix(m, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_finite_entries_enforced(self, bad):
+        # NaN fails every `x > tol` comparison, so without this check it
+        # passed the trace, Hermiticity and positivity tests
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[1, 1] = bad
+        with pytest.raises(ValidationError, match=r"m\[1,1\].*not finite"):
+            DensityMatrix(m, (2,))
+
     def test_dims_product_enforced(self):
         with pytest.raises(ValidationError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
