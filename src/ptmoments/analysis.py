@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .channels import amplitude_damping, apply_channel, concurrence
 from .errors import ValidationError
-from .minors import all_principal_minors, is_x_pattern, principal_minor, three_qubit_x_minors
+from .minors import X_PAIR_LABELS, all_principal_minors, is_x_pattern, x_pair_minors
 from .moments import (
     CriterionVerdict,
     MomentVector,
@@ -47,6 +47,9 @@ CONCURRENCE_FLOOR = 1e-12
 
 # Far above any grid in use: a mistyped --steps or --step cannot allocate without limit.
 MAX_GRID_POINTS = 10_001
+
+# Halvings a bisection may take; 60 already shrink a unit interval below any xtol in use.
+BISECT_MAX_ITER = 200
 
 _CRITERION_TOKEN = re.compile(r"^p(\d+)(o?)ppt$")
 
@@ -85,16 +88,12 @@ class MinorColumns:
     floor: float = 0.0
 
 
-def _pt_minor(name: str, labels: tuple[int, ...]) -> MinorColumns:
-    """The principal minor of the partial transpose over A at one-based labels."""
-    return MinorColumns((name,), lambda state: (principal_minor(partial_transpose(state, 0), labels),))
-
-
 # Column functions look the minor functions up among this module's globals at
 # call time, so a substitute bound to those names sees every call.
-X2_MINORS = (_pt_minor("minor_14", (1, 4)), _pt_minor("minor_23", (2, 3)))
-_X3_NAMES = ("minor_18", "minor_27", "minor_36", "minor_45")
-X3_MINORS = (MinorColumns(_X3_NAMES, lambda state: three_qubit_x_minors(state)),)
+X_MINORS = {  # by matrix dimension: the X-form pair minors, named minor_<i><j>
+    dim: MinorColumns(tuple("minor_%d%d" % pair for pair in pairs), lambda state: x_pair_minors(state))
+    for dim, pairs in X_PAIR_LABELS.items()
+}
 MIN_PT_MINOR = MinorColumns(
     ("min_principal_minor",),
     lambda state: (all_principal_minors(partial_transpose(state, 0)).min_value,),
@@ -128,13 +127,13 @@ FAMILY_BY_NAME = {
     family.name: family for family in (
         Family("bell", lambda params: bell_phi_plus()),
         Family("ghz-noise", lambda params: ghz_white_noise(params["alpha"]), ("alpha",), factors=3,
-               sweep_param="alpha", minor_columns=X3_MINORS,
+               sweep_param="alpha", minor_columns=(X_MINORS[8],),
                literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}}),
         Family("w-noise", lambda params: w_white_noise(params["beta"]), ("beta",), factors=3,
                sweep_param="beta", minor_columns=(MIN_PT_MINOR,),
                literature={_GME: {"beta_max": 0.521, "status": _QUOTED}}),
         Family("knoll", _build_knoll, ("omega", "eta"), ("gamma",),
-               sweep_param="gamma", minor_columns=(*X2_MINORS, CONCURRENCE_COLUMN)),
+               sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN)),
         Family(
             "x-state", _build_x_state, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
         ),
@@ -201,13 +200,12 @@ def state_from_payload(payload) -> DensityMatrix:
         raise ValidationError("state payload must be a JSON object")
     if "dims" not in payload or "matrix" not in payload:
         raise ValidationError("state payload needs 'dims' and 'matrix' fields")
-    dims_raw = payload["dims"]
-    if not isinstance(dims_raw, list) or not dims_raw or any(isinstance(d, bool) for d in dims_raw):
+    dims = payload["dims"]
+    if not isinstance(dims, list) or not dims:
         raise ValidationError("'dims' must be a nonempty array of integers")
-    try:
-        dims = tuple(int(d) for d in dims_raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'dims' must contain integers, got {dims_raw!r}") from exc
+    for idx, d in enumerate(dims):
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValidationError(f"'dims' entry {idx} must be an integer, got {d!r}")
     dim = int(np.prod(dims))
     entries = payload["matrix"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
@@ -310,8 +308,7 @@ def criteria_moments(
 
 def _key_minors_block(state: DensityMatrix) -> dict:
     if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
-        groups = X2_MINORS if state.num_factors == 2 else X3_MINORS
-        return {name: v for group in groups for name, v in zip(group.names, group.compute(state))}
+        return dict(zip(X_MINORS[state.dim].names, X_MINORS[state.dim].compute(state)))
     if state.dim <= 8:
         report = all_principal_minors(partial_transpose(state, 0))
         return {
@@ -319,6 +316,16 @@ def _key_minors_block(state: DensityMatrix) -> dict:
             "min_index_set": list(report.min_index_set),
         }
     return {"note": f"principal-minor enumeration unavailable for dim > 8"}
+
+
+def _named_spectra(state: DensityMatrix, tol: float) -> dict[str, np.ndarray]:
+    """The spectrum of each single-factor partial transpose keyed A, B, ..., once the
+    tolerance and the number of factors a report can name are checked."""
+    linalg.check_tolerance(tol)
+    limit = len(SUBSYSTEM_NAMES)
+    if state.num_factors > limit:
+        raise ValidationError(f"reports name at most {limit} tensor factors, got {state.num_factors}")
+    return dict(zip(SUBSYSTEM_NAMES, map(_pt_spectra(state), range(state.num_factors))))
 
 
 def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
@@ -338,14 +345,11 @@ def analyze_state(
     minors, and the eigenvalue-oracle PPT verdicts, all read off one spectrum
     per partial transpose."""
     kmax = resolve_kmax(state.num_factors, kmax)
-    spectrum = _pt_spectra(state)
-    per_subsystem = [
-        moments_from_spectrum(spectrum(s), kmax, s, state.dim) for s in range(state.num_factors)
-    ]
+    spectra = _named_spectra(state, tol)
+    per_subsystem = [moments_from_spectrum(eigs, kmax, state.dim) for eigs in spectra.values()]
     crit_mv, source = criteria_moments(state, per_subsystem.__getitem__)
     names = parse_criteria(criteria) if criteria else default_criteria(kmax)
     verdicts = [evaluate_criterion(token, crit_mv, tol) for token in names]
-    spectra = {SUBSYSTEM_NAMES[s]: spectrum(s) for s in range(state.num_factors)}
     report = {
         "input": descriptor,
         "dims": list(state.dims),
@@ -370,8 +374,7 @@ def analyze_state(
 def oracle_state(state: DensityMatrix, descriptor: dict, tol: float = linalg.DEFAULT_PSD_TOL) -> dict:
     """Eigenvalue report: spectrum of the state and of every single-subsystem
     partial transpose, with PPT verdicts."""
-    spectrum = _pt_spectra(state)
-    spectra = {SUBSYSTEM_NAMES[s]: spectrum(s) for s in range(state.num_factors)}
+    spectra = _named_spectra(state, tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
@@ -393,26 +396,17 @@ class SweepResult:
     sign_changes: list[tuple[str, float]]
 
 
-def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6, max_iter: int = 200) -> float:
-    """Locate a sign change of f in [lo, hi] by bisection."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
+def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
+    """Locate where f changes sign in [lo, hi] by bisection, with the sweep grid's
+    sign test f(x) < 0.0: an exact zero counts as non-negative, as on the grid."""
+    lo_negative = f(lo) < 0.0
+    if lo_negative == (f(hi) < 0.0):
         raise ValidationError(f"no sign change of {f} in [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -440,7 +434,7 @@ def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str
         row: dict[str, float] = {param: value}
         if wanted(*moment_cols, *margin_cols):
             mv, _ = criteria_moments(
-                state, lambda s: moments_from_spectrum(spectrum(s), kmax, s, state.dim)
+                state, lambda s: moments_from_spectrum(spectrum(s), kmax, state.dim)
             )
             row.update(zip(moment_cols, mv.values))
             for token, column in zip(criteria, margin_cols):
@@ -472,7 +466,9 @@ def run_sweep(
 
     Grid points are evaluated in order; sign changes of every margin, minor,
     and oracle column are refined by bisection to 1e-6 in the parameter.
-    Bisection evaluates only the column it refines, not the whole row.
+    Bisection evaluates only the column it refines, not the whole row.  A
+    column counts as negative where value - floor < 0.0, on the grid and in
+    the bisection alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:
@@ -488,6 +484,7 @@ def run_sweep(
         raise ValidationError(f"sweep needs at least 2 grid points, got {count}")
     if count > MAX_GRID_POINTS:
         raise ValidationError(f"sweep grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
+    linalg.check_tolerance(tol)
     kmax = resolve_kmax(record.factors, kmax)
     names = parse_criteria(criteria) if criteria else default_criteria(kmax)
     columns, evaluate, transforms = _sweep_evaluator(record, fixed, names, kmax, tol)
@@ -497,11 +494,8 @@ def run_sweep(
 
     sign_changes: list[tuple[str, float]] = []
     for column, floor in transforms.items():
-        shifted = [row[column] - floor for row in table]
-        for i in range(len(grid) - 1):
-            lo_neg, hi_neg = shifted[i] < 0.0, shifted[i + 1] < 0.0
-            if lo_neg == hi_neg:
-                continue
+        negative = np.array([row[column] - floor < 0.0 for row in table])
+        for i in np.flatnonzero(negative[1:] != negative[:-1]):
             root = bisect_sign_change(
                 lambda x, c=column, f=floor: evaluate(float(x), only=c)[c] - f,
                 float(grid[i]),

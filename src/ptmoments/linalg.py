@@ -50,6 +50,12 @@ def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return m
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a negative, NaN or infinite tolerance, which no decision can use."""
+    if not 0.0 <= tol < float("inf"):
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def relative_tolerance(eigs, tol: float) -> float:
     """`tol` scaled by max(1, max |eig|), the rule of every positivity decision.
 
@@ -96,7 +102,6 @@ def matrix_power_trace(matrix, k: int) -> float:
 
 def is_psd(matrix, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius)."""
-    if tol < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    check_tolerance(tol)
     eigs = hermitian_eigenvalues(matrix)
     return bool(eigs[0] >= -relative_tolerance(eigs, tol))

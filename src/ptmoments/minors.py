@@ -126,8 +126,7 @@ def all_principal_minors(matrix) -> MinorReport:
 
 def psd_via_minors(matrix, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
     """Sylvester test: true iff every principal minor is >= -tol."""
-    if tol < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    linalg.check_tolerance(tol)
     return all_principal_minors(matrix).min_value >= -tol
 
 
@@ -171,7 +170,22 @@ def x_state_minor_relations_check(params: XStateParams, atol: float = 1e-11) -> 
     return all(abs(report.minors[k] - v) <= atol for k, v in expected.items())
 
 
-def _require_three_qubit_x(state: DensityMatrix) -> None:
+# The 2x2 minors at the anti-diagonal pairs {i, d+1-i}, one-based, decide whether
+# the partial transpose over A of a 2- or 3-qubit X-state is positive.
+X_PAIR_LABELS = {d: tuple((i, d + 1 - i) for i in range(1, d // 2 + 1)) for d in (4, 8)}
+
+
+def x_pair_minors(state: DensityMatrix) -> tuple[float, ...]:
+    """The minors at `X_PAIR_LABELS[state.dim]` of the partial transpose over
+    A of a 2- or 3-qubit state, as one batched determinant."""
+    pt = linalg.assert_hermitian(partial_transpose(state, 0))
+    labels = X_PAIR_LABELS[state.dim]
+    return tuple(_real_minors(_principal_dets(pt, np.array(labels) - 1), labels).tolist())
+
+
+def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, float]:
+    """The four 2x2 minors of the partial transpose of a three-qubit X-state
+    that can go negative: index pairs {1,8}, {2,7}, {3,6}, {4,5}."""
     if state.dims != (2, 2, 2):
         raise ValidationError(f"expected a three-qubit state, got dims {state.dims}")
     m = state.matrix
@@ -182,19 +196,7 @@ def _require_three_qubit_x(state: DensityMatrix) -> None:
             f"state is not in three-qubit X form: entry ({i + 1},{j + 1}) "
             f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
         )
-
-
-_X_PAIR_LABELS = ((1, 8), (2, 7), (3, 6), (4, 5))
-_X_PAIRS = np.array(_X_PAIR_LABELS, dtype=np.intp) - 1
-_X_PAIRS.flags.writeable = False
-
-
-def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, float]:
-    """The four 2x2 minors of the partial transpose of a three-qubit X-state
-    that can go negative: index pairs {1,8}, {2,7}, {3,6}, {4,5}."""
-    _require_three_qubit_x(state)
-    pt = linalg.assert_hermitian(partial_transpose(state, 0))
-    return tuple(_real_minors(_principal_dets(pt, _X_PAIRS), _X_PAIR_LABELS).tolist())
+    return x_pair_minors(state)
 
 
 def three_qubit_full_minor_identity_check(state: DensityMatrix, rtol: float = 1e-10) -> bool:

@@ -29,11 +29,9 @@ MAX_KMAX = 32
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Moments p_1..p_kmax, with the subsystem they were transposed over
-    (None for aggregated vectors) and the total Hilbert-space dimension."""
+    """Moments p_1..p_kmax and the total Hilbert-space dimension."""
 
     values: tuple[float, ...]
-    subsystem: int | None = None
     dim: int | None = None
 
     def __post_init__(self):
@@ -96,17 +94,17 @@ def resolve_kmax(num_factors: int, kmax: int | None) -> int:
     return kmax
 
 
-def moments_from_spectrum(eigs: np.ndarray, kmax: int, subsystem: int, dim: int) -> MomentVector:
+def moments_from_spectrum(eigs: np.ndarray, kmax: int, dim: int) -> MomentVector:
     """Moments p_1..p_kmax as power sums of a partial transpose's spectrum."""
     values = tuple(float(np.sum(eigs ** k)) for k in range(1, kmax + 1))
-    return MomentVector(values=values, subsystem=subsystem, dim=dim)
+    return MomentVector(values=values, dim=dim)
 
 
 def pt_moments(state: DensityMatrix, subsystem: int, kmax: int | None = None) -> MomentVector:
     """Moments Tr[(rho^T_s)^k] for k = 1..kmax from the transpose's spectrum."""
     kmax = resolve_kmax(state.num_factors, kmax)
     eigs = linalg.hermitian_eigenvalues(partial_transpose(state, subsystem))
-    return moments_from_spectrum(eigs, kmax, subsystem, state.dim)
+    return moments_from_spectrum(eigs, kmax, state.dim)
 
 
 def hankel(moments: MomentVector, k: int) -> np.ndarray:
@@ -173,7 +171,7 @@ def geometric_mean_moments(vectors) -> MomentVector:
     values = tuple(
         float(np.cbrt(np.prod([mv.values[i] for mv in vectors]))) for i in range(vectors[0].kmax)
     )
-    return MomentVector(values=values, subsystem=None, dim=vectors[0].dim)
+    return MomentVector(values=values, dim=vectors[0].dim)
 
 
 def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentVector:
@@ -231,4 +229,4 @@ def x_state_moments_closed_form(params: XStateParams) -> MomentVector:
         - 2.0 * (m14 ** 3 + m23 ** 3)
         - 2.0 * gh ** 3
     )
-    return MomentVector(values=(1.0, p2, p3, p4, p5, p6), subsystem=0, dim=4)
+    return MomentVector(values=(1.0, p2, p3, p4, p5, p6), dim=4)

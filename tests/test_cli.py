@@ -18,6 +18,10 @@ def read_json(path):
         return json.load(handle)
 
 
+# the maximally mixed two-qubit state as [re, im] pairs
+MIXED4 = [[0.25 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+
+
 def footer_locations(csv_text):
     out = {}
     for line in csv_text.splitlines():
@@ -107,6 +111,17 @@ class TestAnalyze:
         assert run(["analyze", "--file", str(bad)]) == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims,where",
+        [([2.7, 2], "entry 0 must be an integer, got 2.7"), (["2", "2"], "entry 0"), ([2, 2.0], "entry 1")],
+    )
+    def test_non_integer_dims_rejected(self, tmp_path, capsys, dims, where):
+        # [2.7, 2] used to be read as [2, 2], and strings were accepted
+        bad = tmp_path / "dims.json"
+        bad.write_text(json.dumps({"dims": dims, "matrix": MIXED4}))
+        assert run(["analyze", "--file", str(bad)]) == 2
+        assert f"'dims' {where}" in capsys.readouterr().err
+
     def test_kmax_cap(self, capsys):
         assert run(["analyze", "--family", "bell", "--kmax", str(MAX_KMAX + 1)]) == 2
         assert f"1..{MAX_KMAX}" in capsys.readouterr().err
@@ -148,6 +163,25 @@ class TestAnalyze:
         )
         names = [c["criterion"] for c in read_json(out)["criteria"]]
         assert names == ["p3-ppt", "p5-ppt"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "sweep"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_unusable_tolerance_rejected(capsys, command, tol):
+    # --tol -1 used to report a PPT state as NPT everywhere, and nan to report "ppt": false
+    source = ["--range", "alpha=0:1", "--steps", "3"] if command == "sweep" else ["--param", "alpha=0.95"]
+    assert run([command, "--family", "ghz-noise", *source, f"--tol={tol}"]) == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_factor_count_limited_to_report_names(tmp_path, capsys, command):
+    # nine or more factors used to crash with IndexError; eight still work
+    for dims, code in (([2, 1, 1, 1, 1, 1, 1, 2], 0), ([2, 1, 1, 1, 1, 1, 1, 1, 1, 2], 2)):
+        state = tmp_path / "factors.json"
+        state.write_text(json.dumps({"dims": dims, "matrix": MIXED4}))
+        assert run([command, "--file", str(state), "--out", str(tmp_path / "out.json")]) == code
+    assert "at most 8 tensor factors, got 10" in capsys.readouterr().err
 
 
 class TestOracle:

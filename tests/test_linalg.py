@@ -86,6 +86,14 @@ def test_is_psd_rejects_negative_tol():
         is_psd(np.eye(2), -1e-3)
 
 
+@pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf"), float("-inf")])
+def test_psd_tests_reject_unusable_tolerances(tol):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        is_psd(np.eye(2), tol)
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        psd_via_minors(np.eye(2), tol)
+
+
 def test_power_trace_matches_spectrum_up_to_k8():
     rng = np.random.default_rng(11)
     for _ in range(50):

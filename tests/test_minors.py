@@ -296,3 +296,36 @@ def test_imaginary_residue_guard():
     assert principal_minor(m, (1, 2)) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValidationError):
         principal_minor(np.array([[1.0, 2.0], [1.0, 1.0]]), (1, 2))
+
+
+def test_x_pair_minors_equal_the_principal_minors_at_the_pairs():
+    from ptmoments.minors import X_PAIR_LABELS, x_pair_minors
+
+    assert X_PAIR_LABELS == {4: ((1, 4), (2, 3)), 8: ((1, 8), (2, 7), (3, 6), (4, 5))}
+    for seed in range(50):
+        for state in (x_state(random_x_state(seed)), random_three_qubit_x_state(seed)):
+            pt = partial_transpose(state, 0)
+            expected = tuple(principal_minor(pt, pair) for pair in X_PAIR_LABELS[state.dim])
+            assert x_pair_minors(state) == expected
+
+
+def test_knoll_sweep_row_builds_the_pt_over_a_twice(monkeypatch):
+    # once for the spectrum, once for both X-form pair minors
+    from ptmoments import analysis, minors
+
+    subsystems = []
+    real = analysis.partial_transpose
+
+    def counting(state, subsystem):
+        subsystems.append(subsystem)
+        return real(state, subsystem)
+
+    monkeypatch.setattr(analysis, "partial_transpose", counting)
+    monkeypatch.setattr(minors, "partial_transpose", counting)
+    family = analysis.FAMILY_BY_NAME["knoll"]
+    columns, evaluate, _ = analysis._sweep_evaluator(
+        family, {"omega": 0.12, "eta": 0.21}, analysis.default_criteria(6), 6, 1e-10
+    )
+    row = evaluate(0.4)
+    assert subsystems == [0, 0]
+    assert row["minor_14"] > 0 > row["minor_23"]

@@ -1,9 +1,10 @@
 """CLI output must stay byte-identical to the committed golden files.
 
 The files in tests/golden/ are reference output of `ptmoments sweep` on every
-sweepable family, including the knoll grid whose roots still depend on the
-step count, and of `ptmoments analyze` and `ptmoments oracle` on every named
-family and on the state files in tests/golden/states/.  A change that is not
+sweepable family at 3, 11 and 101 steps, and of `ptmoments analyze` and
+`ptmoments oracle` on every named family and on the state files in
+tests/golden/states/.  At 3 steps the two p3oppt_margin roots of knoll at
+omega=0.2, eta=0.25 share one grid cell and are not reported.  A change that is not
 meant to alter output must leave every byte as it is; regenerate them only
 for one that is, and say so in its description.
 """
