@@ -11,22 +11,16 @@ from .channels import (
 )
 from .errors import NumericsError, ValidationError
 from .linalg import (
-    determinant,
     hermitian_eigenvalues,
-    is_hermitian,
     is_psd,
-    matrix_power_trace,
 )
 from .minors import (
     MinorReport,
     all_principal_minors,
     is_x_pattern,
     principal_minor,
-    psd_via_minors,
-    three_qubit_full_minor_identity_check,
     three_qubit_x_minors,
     x_state_key_minors,
-    x_state_minor_relations_check,
 )
 from .moments import (
     CriterionVerdict,
@@ -71,16 +65,13 @@ __all__ = [
     "bell_phi_plus",
     "composite_damping_kraus",
     "concurrence",
-    "determinant",
     "ebc_gamma_threshold",
     "ghz_white_noise",
     "hankel",
     "hermitian_eigenvalues",
-    "is_hermitian",
     "is_psd",
     "is_x_pattern",
     "knoll_state",
-    "matrix_power_trace",
     "negativity",
     "oppt_threshold",
     "p3_oppt_test",
@@ -88,18 +79,15 @@ __all__ = [
     "partial_transpose",
     "pn_ppt_test",
     "principal_minor",
-    "psd_via_minors",
     "pt_moments",
     "random_density_matrix",
     "random_three_qubit_x_state",
     "random_x_state",
-    "three_qubit_full_minor_identity_check",
     "three_qubit_x_minors",
     "transpose_subsystem",
     "tripartite_moments",
     "w_white_noise",
     "x_state",
     "x_state_key_minors",
-    "x_state_minor_relations_check",
     "x_state_moments_closed_form",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -206,7 +207,7 @@ def state_from_payload(payload) -> DensityMatrix:
     for idx, d in enumerate(dims):
         if not isinstance(d, int) or isinstance(d, bool):
             raise ValidationError(f"'dims' entry {idx} must be an integer, got {d!r}")
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     entries = payload["matrix"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ValidationError(
@@ -330,7 +331,7 @@ def _named_spectra(state: DensityMatrix, tol: float) -> dict[str, np.ndarray]:
 
 def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
     """Smallest eigenvalue and PPT verdict of each named PT spectrum."""
-    ppt = {name: bool(eigs[0] >= -linalg.relative_tolerance(eigs, tol)) for name, eigs in spectra.items()}
+    ppt = {name: linalg.spectrum_is_psd(eigs, tol) for name, eigs in spectra.items()}
     return {"pt_min_eigenvalue": {name: float(eigs[0]) for name, eigs in spectra.items()}, "ppt": ppt}
 
 

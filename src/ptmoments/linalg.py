@@ -33,11 +33,6 @@ def hermiticity_defect(matrix) -> tuple[float, tuple[int, int]]:
     return float(dev[i, j]), (int(i), int(j))
 
 
-def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
-    defect, _ = hermiticity_defect(matrix)
-    return defect <= atol
-
-
 def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Return the matrix, or raise naming the worst-violating entry pair."""
     m = as_square_matrix(matrix)
@@ -62,7 +57,13 @@ def relative_tolerance(eigs, tol: float) -> float:
     The order-3 moment criteria use `tol` as is, which is the same: a partial transpose has unit
     trace and Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1.
     """
+    check_tolerance(tol)
     return tol * max(1.0, float(np.max(np.abs(eigs))))
+
+
+def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
+    """True iff the smallest of the ascending `eigs` is >= -tol * max(1, max |eig|)."""
+    return bool(eigs[0] >= -relative_tolerance(eigs, tol))
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
@@ -77,31 +78,6 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     return eigs
 
 
-def determinant(matrix) -> complex:
-    """Determinant via LU; for Hermitian input the imaginary part is float noise."""
-    m = as_square_matrix(matrix)
-    return complex(np.linalg.det(m))
-
-
-def matrix_power_trace(matrix, k: int) -> float:
-    """Tr[m^k] for Hermitian m, computed from the spectrum and cross-checked
-    against repeated multiplication."""
-    m = assert_hermitian(matrix)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"power k must be a positive integer, got {k!r}")
-    eigs = np.linalg.eigvalsh(m)
-    via_spectrum = float(np.sum(eigs ** k))
-    via_product = float(np.trace(np.linalg.matrix_power(m, int(k))).real)
-    if abs(via_spectrum - via_product) > relative_tolerance(m.shape[0] * eigs ** k, 1e-11):
-        raise NumericsError(
-            f"power-trace cross-check failed for k={k}: "
-            f"spectrum {via_spectrum:.15g} vs product {via_product:.15g}"
-        )
-    return via_spectrum
-
-
 def is_psd(matrix, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius)."""
-    check_tolerance(tol)
-    eigs = hermitian_eigenvalues(matrix)
-    return bool(eigs[0] >= -relative_tolerance(eigs, tol))
+    return spectrum_is_psd(hermitian_eigenvalues(matrix), tol)

@@ -1,4 +1,4 @@
-"""Principal minors: enumeration, Sylvester positivity, and the X-state reductions.
+"""Principal minors: enumeration, and the key minors that decide X-states.
 
 Index sets use one-based row/column labels externally (1..4 for two qubits,
 1..8 for three); internally they are zero-based.
@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericsError, ValidationError
 from .ptranspose import partial_transpose
-from .states import DensityMatrix, XStateParams, x_state
+from .states import DensityMatrix, XStateParams
 
 # Full enumeration of 2^dim - 1 minors is capped here; beyond it the cost is
 # exponential and nothing in scope needs it.
@@ -124,12 +124,6 @@ def all_principal_minors(matrix) -> MinorReport:
     )
 
 
-def psd_via_minors(matrix, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
-    """Sylvester test: true iff every principal minor is >= -tol."""
-    linalg.check_tolerance(tol)
-    return all_principal_minors(matrix).min_value >= -tol
-
-
 def _off_x_mask(dim: int) -> np.ndarray:
     """True off the diagonal and anti-diagonal of a dim x dim matrix."""
     mask = np.ones((dim, dim), dtype=bool)
@@ -153,21 +147,6 @@ def x_state_key_minors(params: XStateParams) -> tuple[float, float]:
     minor_14 = params.rho11 * params.rho44 - abs(params.rho23) ** 2
     minor_23 = params.rho22 * params.rho33 - abs(params.rho14) ** 2
     return (minor_14, minor_23)
-
-
-def x_state_minor_relations_check(params: XStateParams, atol: float = 1e-11) -> bool:
-    """Verify the five reduction identities for an X-state's partial transpose:
-    every order-3 and order-4 minor factors through the two key minors."""
-    minor_14, minor_23 = x_state_key_minors(params)
-    report = all_principal_minors(partial_transpose(x_state(params), 0))
-    expected = {
-        (1, 2, 3): params.rho11 * minor_23,
-        (1, 2, 4): params.rho22 * minor_14,
-        (1, 3, 4): params.rho33 * minor_14,
-        (2, 3, 4): params.rho44 * minor_23,
-        (1, 2, 3, 4): minor_14 * minor_23,
-    }
-    return all(abs(report.minors[k] - v) <= atol for k, v in expected.items())
 
 
 # The 2x2 minors at the anti-diagonal pairs {i, d+1-i}, one-based, decide whether
@@ -197,14 +176,3 @@ def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, flo
             f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
         )
     return x_pair_minors(state)
-
-
-def three_qubit_full_minor_identity_check(state: DensityMatrix, rtol: float = 1e-10) -> bool:
-    """Check that the full 8x8 minor of the partial transpose equals the
-    product of the four 2x2 minors."""
-    minors = three_qubit_x_minors(state)
-    pt = partial_transpose(state, 0)
-    full = principal_minor(pt, range(1, 9))
-    product = float(np.prod(minors))
-    bound = max(rtol * max(abs(full), abs(product)), 1e-14)
-    return bool(abs(full - product) <= bound)

@@ -73,6 +73,7 @@ class CriterionVerdict:
     tolerance: float
 
     def __post_init__(self):
+        linalg.check_tolerance(self.tolerance)
         if self.violated != (self.margin < -self.tolerance):
             raise ValidationError(
                 "inconsistent verdict: violated must hold exactly when "

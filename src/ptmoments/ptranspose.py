@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -21,7 +23,7 @@ def transpose_subsystem(matrix, dims, subsystem: int) -> np.ndarray:
             f"subsystem index {subsystem} out of range for {n} factors"
         )
     m = linalg.as_square_matrix(matrix)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if m.shape[0] != d:
         raise ValidationError(
             f"matrix dimension {m.shape[0]} does not match product of dims {dims}"

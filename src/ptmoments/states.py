@@ -8,6 +8,7 @@ principal minors are these indices plus one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in dims):
             raise ValidationError(f"subsystem dimensions must be positive, got {dims}")
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise ValidationError(
                 f"product of dims {dims} does not match matrix dimension {m.shape[0]}"
             )
@@ -46,7 +47,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace must be 1, got {trace:.15g}")
         eigs = linalg.hermitian_eigenvalues(m)
-        if eigs[0] < -linalg.relative_tolerance(eigs, linalg.DEFAULT_PSD_TOL):
+        if not linalg.spectrum_is_psd(eigs, linalg.DEFAULT_PSD_TOL):
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
             )

@@ -1,0 +1,89 @@
+"""Reference checks the tests hold the package against.
+
+Nothing in `ptmoments` calls these: each recomputes a quantity the package
+derives another way (a power trace by repeated multiplication, positivity by
+Sylvester's criterion, the X-state minor identities by full enumeration), so
+the tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ptmoments import linalg
+from ptmoments.errors import NumericsError, ValidationError
+from ptmoments.linalg import (
+    HERMITIAN_ATOL,
+    as_square_matrix,
+    assert_hermitian,
+    hermiticity_defect,
+    relative_tolerance,
+)
+from ptmoments.minors import (
+    all_principal_minors,
+    principal_minor,
+    three_qubit_x_minors,
+    x_state_key_minors,
+)
+from ptmoments.ptranspose import partial_transpose
+from ptmoments.states import DensityMatrix, XStateParams, x_state
+
+
+def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
+    defect, _ = hermiticity_defect(matrix)
+    return defect <= atol
+
+
+def determinant(matrix) -> complex:
+    """Determinant via LU; for Hermitian input the imaginary part is float noise."""
+    m = as_square_matrix(matrix)
+    return complex(np.linalg.det(m))
+
+
+def matrix_power_trace(matrix, k: int) -> float:
+    """Tr[m^k] for Hermitian m, computed from the spectrum and cross-checked
+    against repeated multiplication."""
+    m = assert_hermitian(matrix)
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"power k must be a positive integer, got {k!r}")
+    eigs = np.linalg.eigvalsh(m)
+    via_spectrum = float(np.sum(eigs ** k))
+    via_product = float(np.trace(np.linalg.matrix_power(m, int(k))).real)
+    if abs(via_spectrum - via_product) > relative_tolerance(m.shape[0] * eigs ** k, 1e-11):
+        raise NumericsError(
+            f"power-trace cross-check failed for k={k}: "
+            f"spectrum {via_spectrum:.15g} vs product {via_product:.15g}"
+        )
+    return via_spectrum
+
+
+def psd_via_minors(matrix, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
+    """Sylvester test: true iff every principal minor is >= -tol."""
+    linalg.check_tolerance(tol)
+    return all_principal_minors(matrix).min_value >= -tol
+
+
+def x_state_minor_relations_check(params: XStateParams, atol: float = 1e-11) -> bool:
+    """Verify the five reduction identities for an X-state's partial transpose:
+    every order-3 and order-4 minor factors through the two key minors."""
+    minor_14, minor_23 = x_state_key_minors(params)
+    report = all_principal_minors(partial_transpose(x_state(params), 0))
+    expected = {
+        (1, 2, 3): params.rho11 * minor_23,
+        (1, 2, 4): params.rho22 * minor_14,
+        (1, 3, 4): params.rho33 * minor_14,
+        (2, 3, 4): params.rho44 * minor_23,
+        (1, 2, 3, 4): minor_14 * minor_23,
+    }
+    return all(abs(report.minors[k] - v) <= atol for k, v in expected.items())
+
+
+def three_qubit_full_minor_identity_check(state: DensityMatrix, rtol: float = 1e-10) -> bool:
+    """Check that the full 8x8 minor of the partial transpose equals the
+    product of the four 2x2 minors."""
+    minors = three_qubit_x_minors(state)
+    pt = partial_transpose(state, 0)
+    full = principal_minor(pt, range(1, 9))
+    product = float(np.prod(minors))
+    bound = max(rtol * max(abs(full), abs(product)), 1e-14)
+    return bool(abs(full - product) <= bound)

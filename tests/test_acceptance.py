@@ -15,6 +15,11 @@ from conftest import (
     random_psd,
     random_separable_state,
 )
+from oracles import (
+    psd_via_minors,
+    three_qubit_full_minor_identity_check,
+    x_state_minor_relations_check,
+)
 
 from ptmoments import (
     amplitude_damping,
@@ -32,17 +37,14 @@ from ptmoments import (
     partial_transpose,
     pn_ppt_test,
     principal_minor,
-    psd_via_minors,
     pt_moments,
     random_density_matrix,
     random_three_qubit_x_state,
     random_x_state,
-    three_qubit_full_minor_identity_check,
     three_qubit_x_minors,
     transpose_subsystem,
     w_white_noise,
     x_state,
-    x_state_minor_relations_check,
     x_state_moments_closed_form,
 )
 from ptmoments.analysis import bisect_sign_change, format_float

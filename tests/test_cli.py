@@ -184,6 +184,22 @@ def test_factor_count_limited_to_report_names(tmp_path, capsys, command):
     assert "at most 8 tensor factors, got 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize(
+    "dims,matrix",
+    [([2 ** 32, 2 ** 32], []), ([4, 2 ** 62 + 1], MIXED4)],
+    ids=["product-wraps-to-0", "product-wraps-to-4"],
+)
+def test_dims_product_is_exact(tmp_path, capsys, command, dims, matrix):
+    # the int64 product used to wrap: the first file was rejected for its trace,
+    # the second passed validation and crashed in reshape with exit 1
+    state = tmp_path / "dims.json"
+    state.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+    assert run([command, "--file", str(state)]) == 2
+    size = dims[0] * dims[1]
+    assert f"'matrix' must contain {size * size} [re, im] pairs" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_bell_spectrum(self, tmp_path):
         out = tmp_path / "o.json"

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
+from oracles import determinant, is_hermitian, matrix_power_trace, psd_via_minors
 
 from ptmoments import (
     NumericsError,
     ValidationError,
     bell_phi_plus,
-    determinant,
     ghz_white_noise,
     hermitian_eigenvalues,
-    is_hermitian,
     is_psd,
-    matrix_power_trace,
     partial_transpose,
-    psd_via_minors,
 )
 from ptmoments.linalg import relative_tolerance
 

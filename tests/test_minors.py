@@ -3,6 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import batched_ginibre, batched_partial_transpose_first, random_hermitian, random_psd
+from oracles import (
+    psd_via_minors,
+    three_qubit_full_minor_identity_check,
+    x_state_minor_relations_check,
+)
 
 from ptmoments import (
     DensityMatrix,
@@ -16,16 +21,13 @@ from ptmoments import (
     is_x_pattern,
     partial_transpose,
     principal_minor,
-    psd_via_minors,
     random_density_matrix,
     random_three_qubit_x_state,
     random_x_state,
-    three_qubit_full_minor_identity_check,
     three_qubit_x_minors,
     w_white_noise,
     x_state,
     x_state_key_minors,
-    x_state_minor_relations_check,
 )
 
 # the minors of the transposed matrix that coincide with minors of the state

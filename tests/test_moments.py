@@ -14,6 +14,7 @@ from ptmoments import (
     ghz_white_noise,
     hankel,
     is_psd,
+    negativity,
     oppt_threshold,
     p3_oppt_test,
     p3_ppt_test,
@@ -27,6 +28,7 @@ from ptmoments import (
     x_state,
     x_state_moments_closed_form,
 )
+from ptmoments.analysis import analyze_state
 from ptmoments.moments import MAX_KMAX
 
 GHZ_POLYNOMIALS = (
@@ -248,6 +250,34 @@ class TestClosedForms:
         closed = x_state_moments_closed_form(params)
         direct = pt_moments(x_state(params), 0, 6)
         np.testing.assert_allclose(closed.values, direct.values, atol=1e-11)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda tol: negativity(ghz_white_noise(0.95), 0, tol),
+        lambda tol: p3_ppt_test(pt_moments(ghz_white_noise(0.95), 0), tol),
+        lambda tol: p3_oppt_test(pt_moments(bell_phi_plus(), 0), tol),
+        lambda tol: pn_ppt_test(pt_moments(bell_phi_plus(), 0), 5, tol),
+    ],
+    ids=["negativity", "p3ppt", "p3oppt", "p5ppt"],
+)
+def test_unusable_tolerance_rejected(decide, tol):
+    # -1 used to give negativity -1.0 and a violated p3-ppt on a PPT state,
+    # and NaN a p3-ppt and p5-ppt pass on the Bell state
+    with pytest.raises(ValidationError, match="tolerance must be finite and non-negative"):
+        decide(tol)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_no_criterion_fires_on_separable_qutrit_qubit_states(dims, seed):
+    state = random_separable_state(np.random.default_rng(seed), dims)
+    report = analyze_state(state, {}, kmax=7, criteria="p3ppt,p3oppt,p5ppt")
+    assert [c["violated"] for c in report["criteria"]] == [False, False, False]
+    assert report["oracle"]["ppt"] == {"A": True, "B": True}
 
 
 def test_no_criterion_fires_on_separable_states():

@@ -1,0 +1,70 @@
+"""The public names of `ptmoments`, so none is added or dropped unnoticed."""
+
+import pytest
+
+import ptmoments
+from ptmoments import linalg, minors
+
+PUBLIC_NAMES = [
+    "CriterionVerdict",
+    "DensityMatrix",
+    "KrausChannel",
+    "MinorReport",
+    "MomentVector",
+    "NumericsError",
+    "ValidationError",
+    "XStateParams",
+    "all_principal_minors",
+    "amplitude_damping",
+    "apply_channel",
+    "bell_phi_plus",
+    "composite_damping_kraus",
+    "concurrence",
+    "ebc_gamma_threshold",
+    "ghz_white_noise",
+    "hankel",
+    "hermitian_eigenvalues",
+    "is_psd",
+    "is_x_pattern",
+    "knoll_state",
+    "negativity",
+    "oppt_threshold",
+    "p3_oppt_test",
+    "p3_ppt_test",
+    "partial_transpose",
+    "pn_ppt_test",
+    "principal_minor",
+    "pt_moments",
+    "random_density_matrix",
+    "random_three_qubit_x_state",
+    "random_x_state",
+    "three_qubit_x_minors",
+    "transpose_subsystem",
+    "tripartite_moments",
+    "w_white_noise",
+    "x_state",
+    "x_state_key_minors",
+    "x_state_moments_closed_form",
+]
+
+# Reference checks that only the tests use; they live in tests/oracles.py.
+TEST_ORACLES = [
+    "determinant",
+    "is_hermitian",
+    "matrix_power_trace",
+    "psd_via_minors",
+    "three_qubit_full_minor_identity_check",
+    "x_state_minor_relations_check",
+]
+
+
+def test_public_names_are_exactly_the_expected_ones():
+    assert len(PUBLIC_NAMES) == 39
+    assert sorted(ptmoments.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(ptmoments, name) is not None
+
+
+@pytest.mark.parametrize("module", [ptmoments, linalg, minors], ids=lambda m: m.__name__)
+def test_test_oracles_are_not_in_the_package(module):
+    assert [name for name in TEST_ORACLES if hasattr(module, name)] == []

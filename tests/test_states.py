@@ -182,6 +182,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    def test_dims_product_is_exact(self):
+        # 4 * (2**62 + 1) wraps to 4 in int64, which used to pass this check
+        with pytest.raises(ValidationError, match="product of dims"):
+            DensityMatrix(np.eye(4) / 4, (4, 2 ** 62 + 1))
+
     def test_matrix_is_frozen(self):
         state = bell_phi_plus()
         with pytest.raises(ValueError):
