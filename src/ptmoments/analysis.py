@@ -177,6 +177,8 @@ def parse_param_assignments(assignments) -> dict[str, float]:
             raise ValidationError(f"parameter {item!r} is not of the form name=value")
         name, _, raw = item.partition("=")
         name = name.strip()
+        if name in params:
+            raise ValidationError(f"parameter {name!r} is given more than once")
         try:
             params[name] = float(raw)
         except ValueError as exc:

@@ -123,13 +123,13 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -
             f"channel dimension {channel.dim} does not match factor dimension "
             f"{state.dims[subsystem]}"
         )
-    before = int(np.prod(state.dims[:subsystem], initial=1))
-    after = int(np.prod(state.dims[subsystem + 1 :], initial=1))
-    out = np.zeros_like(state.matrix)
+    ket_axis, bra_axis = subsystem, state.num_factors + subsystem
+    tensor = state.matrix.reshape(state.dims * 2)
+    out = np.zeros_like(tensor)
     for op in channel.operators:
-        full = np.kron(np.kron(np.eye(before), op), np.eye(after))
-        out = out + full @ state.matrix @ full.conj().T
-    return DensityMatrix(out, state.dims)
+        left = np.moveaxis(np.tensordot(op, tensor, axes=(1, ket_axis)), 0, ket_axis)
+        out = out + np.moveaxis(np.tensordot(left, op.conj(), axes=(bra_axis, 1)), -1, bra_axis)
+    return DensityMatrix(out.reshape(state.dim, state.dim), state.dims)
 
 
 def _x_closed_form_concurrence(m: np.ndarray) -> float:

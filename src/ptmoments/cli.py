@@ -106,8 +106,11 @@ def _parse_range(text: str) -> tuple[str, float, float]:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

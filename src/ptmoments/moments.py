@@ -4,7 +4,8 @@ entanglement criteria.
 The k-th PT-moment of a state is Tr[(rho^T_s)^k] for the partial transpose
 over subsystem s.  Moment-based detection works through the Hankel matrices
 B_k with entries [B_k]_{ij} = p_{i+j+1}: every B_k is positive semidefinite
-for separable states.
+for separable states.  Newton's identities give the moments from e_j, the
+sums of the j x j principal minors of rho^T_s (`moments_from_minor_sums`).
 """
 
 from __future__ import annotations
@@ -190,44 +191,31 @@ def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentV
     return geometric_mean_moments([pt_moments(state, s, kmax) for s in range(3)])
 
 
+def moments_from_minor_sums(e, kmax: int, dim: int) -> MomentVector:
+    """Moments p_1..p_kmax from e_j, the sum of the j x j principal minors of a
+    partial transpose (e_j = 0 past len(e)), by Newton's identities
+    p_k = sum_{i<k} (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k."""
+    e = (0.0, *e) + (0.0,) * kmax
+    p = [0.0]
+    for k in range(1, kmax + 1):
+        lower = sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
+        p.append(lower + (-1) ** (k - 1) * k * e[k])
+    return MomentVector(values=tuple(p[1:]), dim=dim)
+
+
 def x_state_moments_closed_form(params: XStateParams) -> MomentVector:
     """Moments p_1..p_6 of a two-qubit X-state as closed functions of the two
     key principal minors.
 
     The partially transposed X-state is block diagonal with 2x2 blocks of
     traces g = rho11+rho44 and h = rho22+rho33 and determinants equal to
-    minor_14 and minor_23, so each p_k is a sum of two explicit power sums.
-    The cubic minor terms in p_6 come from the k = 6 power-sum expansion
-    t_6 = s^6 - 6 s^4 q + 9 s^2 q^2 - 2 q^3 of a 2x2 block with trace s and
-    determinant q.
+    minor_14 and minor_23, so its principal-minor sums are e_1 = 1,
+    e_2 = minor_14 + minor_23 + g*h, e_3 = g*minor_23 + h*minor_14 and
+    e_4 = minor_14*minor_23, and Newton's identities give every p_k; the
+    first two are p_2 = 1 - 2(minor_14 + minor_23) - 2gh and
+    p_3 = 1 - 3(g*minor_14 + h*minor_23) - 3gh.
     """
     m14, m23 = x_state_key_minors(params)
     g = params.rho11 + params.rho44
     h = params.rho22 + params.rho33
-    gh = g * h
-    p2 = 1.0 - 2.0 * (m14 + m23) - 2.0 * gh
-    p3 = 1.0 - 3.0 * (g * m14 + h * m23) - 3.0 * gh
-    p4 = (
-        1.0
-        - 4.0 * (g ** 2 * m14 + h ** 2 * m23)
-        - 4.0 * gh
-        + 2.0 * (m14 ** 2 + m23 ** 2)
-        + 2.0 * gh ** 2
-    )
-    p5 = (
-        1.0
-        - 5.0 * (g ** 3 * m14 + h ** 3 * m23)
-        - 5.0 * gh
-        + 5.0 * (g * m14 ** 2 + h * m23 ** 2)
-        + 5.0 * gh ** 2
-    )
-    p6 = (
-        1.0
-        - 6.0 * (g ** 4 * m14 + h ** 4 * m23)
-        - 6.0 * gh
-        + 9.0 * (g ** 2 * m14 ** 2 + h ** 2 * m23 ** 2)
-        + 9.0 * gh ** 2
-        - 2.0 * (m14 ** 3 + m23 ** 3)
-        - 2.0 * gh ** 3
-    )
-    return MomentVector(values=(1.0, p2, p3, p4, p5, p6), dim=4)
+    return moments_from_minor_sums((1.0, m14 + m23 + g * h, g * m23 + h * m14, m14 * m23), 6, 4)

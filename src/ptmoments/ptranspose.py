@@ -17,6 +17,8 @@ def transpose_subsystem(matrix, dims, subsystem: int) -> np.ndarray:
     No arithmetic is performed, so the operation is exact and involutive.
     """
     dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValidationError(f"subsystem dimensions must be positive, got {dims}")
     n = len(dims)
     if not 0 <= subsystem < n:
         raise ValidationError(

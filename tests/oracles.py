@@ -2,8 +2,9 @@
 
 Nothing in `ptmoments` calls these: each recomputes a quantity the package
 derives another way (a power trace by repeated multiplication, positivity by
-Sylvester's criterion, the X-state minor identities by full enumeration), so
-the tests can compare the two.
+Sylvester's criterion, the X-state minor identities by full enumeration, a
+channel's action by Kronecker-padded Kraus operators), so the tests can
+compare the two.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ptmoments import linalg
+from ptmoments.channels import KrausChannel
 from ptmoments.errors import NumericsError, ValidationError
 from ptmoments.linalg import (
     HERMITIAN_ATOL,
@@ -87,3 +89,15 @@ def three_qubit_full_minor_identity_check(state: DensityMatrix, rtol: float = 1e
     product = float(np.prod(minors))
     bound = max(rtol * max(abs(full), abs(product)), 1e-14)
     return bool(abs(full - product) <= bound)
+
+
+def kron_apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -> np.ndarray:
+    """sum_i (I x K_i x I) rho (I x K_i x I)^dag, with each Kraus operator
+    padded to the full space by Kronecker products with identities."""
+    before = int(np.prod(state.dims[:subsystem], initial=1))
+    after = int(np.prod(state.dims[subsystem + 1 :], initial=1))
+    out = np.zeros_like(state.matrix)
+    for op in channel.operators:
+        full = np.kron(np.kron(np.eye(before), op), np.eye(after))
+        out = out + full @ state.matrix @ full.conj().T
+    return out

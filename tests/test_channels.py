@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import kron_apply_channel
 
 from ptmoments import (
     KrausChannel,
@@ -15,6 +16,7 @@ from ptmoments import (
     knoll_state,
     partial_transpose,
     principal_minor,
+    random_density_matrix,
     random_x_state,
     x_state,
 )
@@ -92,6 +94,27 @@ class TestApplyChannel:
         state = x_state(random_x_state(3))
         out = apply_channel(state, amplitude_damping(0.7), 0)
         assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_kronecker_reference_on_every_subsystem(self):
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            # a complex unitary makes a missing conjugate on the bra side show
+            unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            channels = (
+                amplitude_damping(0.05 * seed),
+                composite_damping_kraus(0.3, 0.4, 0.05 * seed),
+                KrausChannel((unitary,)),
+            )
+            for dim in (4, 8):
+                state = random_density_matrix(dim, seed=seed)
+                for channel in channels:
+                    for s in range(state.num_factors):
+                        np.testing.assert_allclose(
+                            apply_channel(state, channel, s).matrix,
+                            kron_apply_channel(state, channel, s),
+                            rtol=0,
+                            atol=1e-15,
+                        )
 
     def test_dimension_mismatch(self):
         big = KrausChannel((np.eye(3, dtype=complex),))

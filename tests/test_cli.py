@@ -174,6 +174,33 @@ def test_unusable_tolerance_rejected(capsys, command, tol):
     assert "tolerance must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle", "sweep"])
+def test_unwritable_out_path_rejected(tmp_path, capsys, command):
+    # a missing output directory used to end in a FileNotFoundError traceback with exit 1
+    source = ["--range", "alpha=0:1", "--steps", "3"] if command == "sweep" else ["--param", "alpha=0.5"]
+    out = tmp_path / "missing" / "out.json"
+    assert run([command, "--family", "ghz-noise", *source, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {out}: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "ghz-noise", "--param", "alpha=0.5", "--param", "alpha=0.9"],
+        ["sweep", "--family", "knoll", "--param", "omega=0.12", "--param", "eta=0.21",
+         "--param", "omega=0.2", "--range", "gamma=0:1", "--steps", "3"],
+    ],
+    ids=["analyze", "sweep"],
+)
+def test_repeated_param_rejected(capsys, argv):
+    # the last value used to win silently, with exit 0
+    assert run(argv) == 2
+    name = argv[argv.index("--param") + 1].partition("=")[0]
+    assert f"parameter {name!r} is given more than once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
 def test_factor_count_limited_to_report_names(tmp_path, capsys, command):
     # nine or more factors used to crash with IndexError; eight still work

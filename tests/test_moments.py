@@ -10,9 +10,11 @@ from ptmoments import (
     MomentVector,
     ValidationError,
     XStateParams,
+    all_principal_minors,
     bell_phi_plus,
     ghz_white_noise,
     hankel,
+    hermitian_eigenvalues,
     is_psd,
     negativity,
     oppt_threshold,
@@ -29,7 +31,7 @@ from ptmoments import (
     x_state_moments_closed_form,
 )
 from ptmoments.analysis import analyze_state
-from ptmoments.moments import MAX_KMAX
+from ptmoments.moments import MAX_KMAX, moments_from_minor_sums, moments_from_spectrum
 
 GHZ_POLYNOMIALS = (
     lambda a: 1.0,
@@ -250,6 +252,37 @@ class TestClosedForms:
         closed = x_state_moments_closed_form(params)
         direct = pt_moments(x_state(params), 0, 6)
         np.testing.assert_allclose(closed.values, direct.values, atol=1e-11)
+
+
+def enumerated_minor_sums(pt) -> list[float]:
+    """e_j, the sum of the j x j principal minors, from the full enumeration."""
+    sums = [0.0] * pt.shape[0]
+    for labels, value in all_principal_minors(pt).minors.items():
+        sums[len(labels) - 1] += value
+    return sums
+
+
+class TestMomentsFromMinorSums:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 2), (2, 2, 2)])
+    def test_matches_spectrum_on_every_layout(self, dims):
+        dim = math.prod(dims)
+        for seed in range(200):
+            state = random_density_matrix(dim, seed=seed, dims=dims)
+            for s in range(len(dims)):
+                pt = partial_transpose(state, s)
+                minors = moments_from_minor_sums(enumerated_minor_sums(pt), 7, dim)
+                spectrum = moments_from_spectrum(hermitian_eigenvalues(pt), 7, dim)
+                np.testing.assert_allclose(minors.values, spectrum.values, rtol=0, atol=1e-12)
+
+    def test_x_state_closed_form_is_the_two_minor_case(self):
+        for seed in range(1000):
+            params = random_x_state(seed)
+            closed = x_state_moments_closed_form(params)
+            sums = enumerated_minor_sums(partial_transpose(x_state(params), 0))
+            assert len(closed.values) == 6 and closed.values[0] == 1.0
+            np.testing.assert_allclose(
+                closed.values, moments_from_minor_sums(sums, 6, 4).values, rtol=0, atol=1e-14
+            )
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import batched_ginibre, batched_partial_transpose_first
@@ -95,3 +97,14 @@ def test_negativity_values():
 def test_bad_subsystem_rejected():
     with pytest.raises(ValidationError, match="subsystem"):
         partial_transpose(bell_phi_plus(), 2)
+
+
+@pytest.mark.parametrize(
+    "matrix,dims",
+    [(np.eye(4) / 4, (-2, -2)), (np.eye(1), (-1, -1))],
+    ids=["product-4", "product-1"],
+)
+def test_non_positive_dims_rejected(matrix, dims):
+    # the product matches the matrix, so numpy's reshape used to raise its own ValueError
+    with pytest.raises(ValidationError, match=re.escape(f"subsystem dimensions must be positive, got {dims}")):
+        transpose_subsystem(matrix, dims, 0)
