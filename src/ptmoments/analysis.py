@@ -59,8 +59,15 @@ _CRITERION_TOKEN = re.compile(r"^p(\d+)(o?)ppt$")
 # Named families
 
 
+@functools.lru_cache(maxsize=1)
+def _knoll_base(omega: float, eta: float) -> DensityMatrix:
+    """knoll_state(omega, eta), kept for the next call: a knoll sweep damps one fixed
+    base state at every point, and a DensityMatrix is immutable, so its points share it."""
+    return knoll_state(omega, eta)
+
+
 def _build_knoll(params: dict[str, float]) -> DensityMatrix:
-    state = knoll_state(params["omega"], params["eta"])
+    state = _knoll_base(params["omega"], params["eta"])
     gamma = params.get("gamma")
     if gamma is not None:
         state = apply_channel(state, amplitude_damping(gamma), 1)
@@ -177,6 +184,8 @@ def parse_param_assignments(assignments) -> dict[str, float]:
             raise ValidationError(f"parameter {item!r} is not of the form name=value")
         name, _, raw = item.partition("=")
         name = name.strip()
+        if not name:
+            raise ValidationError(f"parameter {item!r} has an empty name")
         if name in params:
             raise ValidationError(f"parameter {name!r} is given more than once")
         try:
@@ -426,23 +435,32 @@ def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str
         columns += group.names
         transforms.update(dict.fromkeys(group.names, group.floor))
 
-    def evaluate(value: float, only: str | None = None) -> dict[str, float]:
-        """The row at one parameter value; with `only`, just that column."""
-
-        def wanted(*names: str) -> bool:
-            return only is None or only in names
-
+    @functools.cache
+    def point(value: float):
+        """The state at one parameter value, its lazy PT spectra and criteria moments, and
+        the row of columns computed so far: each distinct value is built, validated and
+        diagonalised once per sweep."""
         state = build_family_state(family.name, {**fixed, param: value})
         spectrum = _pt_spectra(state)
-        row: dict[str, float] = {param: value}
-        if wanted(*moment_cols, *margin_cols):
-            mv, _ = criteria_moments(
+        moments = functools.cache(
+            lambda: criteria_moments(
                 state, lambda s: moments_from_spectrum(spectrum(s), kmax, state.dim)
-            )
-            row.update(zip(moment_cols, mv.values))
-            for token, column in zip(criteria, margin_cols):
-                if wanted(column):
-                    row[column] = evaluate_criterion(token, mv, tol).margin
+            )[0]
+        )
+        return state, spectrum, moments, {param: value}
+
+    def evaluate(value: float, only: str | None = None) -> dict[str, float]:
+        """The row at one parameter value; with `only`, just that column."""
+        state, spectrum, moments, row = point(value)
+
+        def wanted(*names: str) -> bool:
+            return (only is None or only in names) and names[0] not in row
+
+        if wanted(*moment_cols):
+            row.update(zip(moment_cols, moments().values))
+        for token, column in zip(criteria, margin_cols):
+            if wanted(column):
+                row[column] = evaluate_criterion(token, moments(), tol).margin
         if wanted("negativity_A"):
             row["negativity_A"] = negativity_from_spectrum(spectrum(0), tol)
         if wanted("pt_min_eig_A"):
@@ -450,7 +468,7 @@ def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str
         for group in family.minor_columns:
             if wanted(*group.names):
                 row.update(zip(group.names, group.compute(state)))
-        return row if only is None else {only: row[only]}
+        return {c: row[c] for c in columns} if only is None else {only: row[only]}
 
     return columns, evaluate, transforms
 

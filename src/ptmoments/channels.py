@@ -5,6 +5,7 @@ family, Wootters concurrence, and the entanglement-breaking threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,16 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -
             f"channel dimension {channel.dim} does not match factor dimension "
             f"{state.dims[subsystem]}"
         )
-    ket_axis, bra_axis = subsystem, state.num_factors + subsystem
-    tensor = state.matrix.reshape(state.dims * 2)
-    out = np.zeros_like(tensor)
+    # Row and column indices split as (before, d, after) around the factor: K acts on the
+    # middle axis of the rows, then conj(K) on the middle axis of the columns.
+    dim, d = state.dim, channel.dim
+    before = math.prod(state.dims[:subsystem])
+    after = dim // (before * d)
+    out = np.zeros_like(state.matrix)
     for op in channel.operators:
-        left = np.moveaxis(np.tensordot(op, tensor, axes=(1, ket_axis)), 0, ket_axis)
-        out = out + np.moveaxis(np.tensordot(left, op.conj(), axes=(bra_axis, 1)), -1, bra_axis)
-    return DensityMatrix(out.reshape(state.dim, state.dim), state.dims)
+        left = op @ state.matrix.reshape(before, d, after * dim)
+        out = out + (op.conj() @ left.reshape(dim * before, d, after)).reshape(dim, dim)
+    return DensityMatrix(out, state.dims)
 
 
 def _x_closed_form_concurrence(m: np.ndarray) -> float:

@@ -34,8 +34,12 @@ def hermiticity_defect(matrix) -> tuple[float, tuple[int, int]]:
 
 
 def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return the matrix, or raise naming the worst-violating entry pair."""
+    """Return the matrix, or raise naming the worst-violating entry pair.
+
+    A NaN defect passes, as it compares false; `hermitian_eigenvalues` rejects it."""
     m = as_square_matrix(matrix)
+    if np.abs(m - m.conj().T).max() <= atol:
+        return m
     defect, (i, j) = hermiticity_defect(m)
     if defect > atol:
         raise ValidationError(
@@ -43,6 +47,13 @@ def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
             f"{defect:.3e} exceeds {atol:.1e}"
         )
     return m
+
+
+def check_finite(m: np.ndarray) -> None:
+    """Reject a matrix with a NaN or infinite entry, naming the first one in row-major order."""
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(f"matrix entry m[{i},{j}] = {m[i, j]} is not finite")
 
 
 def check_tolerance(tol: float) -> None:
@@ -58,7 +69,7 @@ def relative_tolerance(eigs, tol: float) -> float:
     trace and Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1.
     """
     check_tolerance(tol)
-    return tol * max(1.0, float(np.max(np.abs(eigs))))
+    return tol * max(1.0, float(np.abs(eigs).max()))
 
 
 def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
@@ -67,10 +78,14 @@ def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
+    """Real eigenvalues of a Hermitian matrix, ascending.
+
+    `eigvalsh` reads one triangle only, so a non-finite entry in the other would go unseen;
+    every entry must be finite."""
     m = assert_hermitian(matrix)
+    check_finite(m)
     eigs = np.linalg.eigvalsh(m)
-    trace = float(np.trace(m).real)
+    trace = float(m.trace().real)
     if abs(float(eigs.sum()) - trace) > 1e-10 * max(1.0, abs(trace)):
         raise NumericsError(
             f"eigenvalue sum {eigs.sum():.15g} disagrees with trace {trace:.15g}"

@@ -98,7 +98,7 @@ def resolve_kmax(num_factors: int, kmax: int | None) -> int:
 
 def moments_from_spectrum(eigs: np.ndarray, kmax: int, dim: int) -> MomentVector:
     """Moments p_1..p_kmax as power sums of a partial transpose's spectrum."""
-    values = tuple(float(np.sum(eigs ** k)) for k in range(1, kmax + 1))
+    values = tuple(float((eigs ** k).sum()) for k in range(1, kmax + 1))
     return MomentVector(values=values, dim=dim)
 
 

@@ -40,9 +40,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"product of dims {dims} does not match matrix dimension {m.shape[0]}"
             )
-        if not np.isfinite(m).all():
-            i, j = np.argwhere(~np.isfinite(m))[0]
-            raise ValidationError(f"matrix entry m[{i},{j}] = {m[i, j]} is not finite")
+        linalg.check_finite(m)
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace must be 1, got {trace:.15g}")

@@ -201,6 +201,21 @@ def test_repeated_param_rejected(capsys, argv):
     assert f"parameter {name!r} is given more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "ghz-noise", "--param", "=0.5", "--param", "alpha=0.5"],
+        ["sweep", "--family", "ghz-noise", "--param", "=0.1", "--range", "alpha=0:1", "--steps", "3"],
+    ],
+    ids=["analyze", "sweep"],
+)
+def test_empty_param_name_rejected(capsys, argv):
+    # the blank name used to reach the family check: "unknown parameter(s)  for family ..."
+    assert run(argv) == 2
+    item = argv[argv.index("--param") + 1]
+    assert f"parameter {item!r} has an empty name" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
 def test_factor_count_limited_to_report_names(tmp_path, capsys, command):
     # nine or more factors used to crash with IndexError; eight still work

@@ -44,6 +44,18 @@ def test_non_hermitian_rejected_with_entry_pair():
         hermitian_eigenvalues(m)
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0), (1, 1)], ids=["above", "below", "diagonal"])
+@pytest.mark.parametrize("check", [hermitian_eigenvalues, is_psd])
+def test_non_finite_entry_rejected(check, entry):
+    # eigvalsh reads one triangle, and a NaN Hermiticity defect compares false, so a NaN
+    # above the diagonal used to give the spectrum [0.5, 0.5] and is_psd True
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[entry] = np.nan
+    i, j = entry
+    with pytest.raises(ValidationError, match=rf"m\[{i},{j}\] = .* is not finite"):
+        check(m)
+
+
 def test_determinant_identity():
     assert determinant(np.eye(3)) == pytest.approx(1.0)
 
