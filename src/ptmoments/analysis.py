@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
+from . import linalg, minors
 from .channels import amplitude_damping, apply_channel, concurrence
 from .errors import ValidationError
 from .minors import X_PAIR_LABELS, all_principal_minors, is_x_pattern, x_pair_minors
@@ -67,7 +67,8 @@ def _knoll_base(omega: float, eta: float) -> DensityMatrix:
 
 
 def _build_knoll(params: dict[str, float]) -> DensityMatrix:
-    state = _knoll_base(params["omega"], params["eta"])
+    # -0.0 + 0.0 is 0.0: the cache takes both zeros for one key, so both must build one state.
+    state = _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
     gamma = params.get("gamma")
     if gamma is not None:
         state = apply_channel(state, amplitude_damping(gamma), 1)
@@ -88,26 +89,26 @@ def _build_x_state(params: dict[str, float]) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class MinorColumns:
-    """Columns one function of the state computes together, and the floor a sweep boundary crosses."""
+class ColumnGroup:
+    """Sweep columns one function of a state's `_Point` computes together, and the floor
+    their sweep boundaries cross, or None where no boundary is located."""
 
     names: tuple[str, ...]
-    compute: Callable[[DensityMatrix], tuple[float, ...]]
-    floor: float = 0.0
+    compute: Callable[[_Point], tuple[float, ...]]
+    floor: float | None = 0.0
 
 
 # Column functions look the minor functions up among this module's globals at
 # call time, so a substitute bound to those names sees every call.
 X_MINORS = {  # by matrix dimension: the X-form pair minors, named minor_<i><j>
-    dim: MinorColumns(tuple("minor_%d%d" % pair for pair in pairs), lambda state: x_pair_minors(state))
+    dim: ColumnGroup(tuple(f"minor_{i}{j}" for i, j in pairs), lambda point: x_pair_minors(point.pt(0)))
     for dim, pairs in X_PAIR_LABELS.items()
 }
-MIN_PT_MINOR = MinorColumns(
-    ("min_principal_minor",),
-    lambda state: (all_principal_minors(partial_transpose(state, 0)).min_value,),
+MIN_PT_MINOR = ColumnGroup(
+    ("min_principal_minor",), lambda point: (all_principal_minors(point.pt(0)).min_value,)
 )
-CONCURRENCE_COLUMN = MinorColumns(
-    ("concurrence",), lambda state: (concurrence(state),), floor=CONCURRENCE_FLOOR
+CONCURRENCE_COLUMN = ColumnGroup(
+    ("concurrence",), lambda point: (concurrence(point.state),), floor=CONCURRENCE_FLOOR
 )
 
 # Genuine-multipartite-entanglement bounds quoted in reports are documentation
@@ -127,7 +128,7 @@ class Family:
     optional: tuple[str, ...] = ()
     factors: int = 2  # tensor factors of every state it builds
     sweep_param: str | None = None
-    minor_columns: tuple[MinorColumns, ...] = ()
+    minor_columns: tuple[ColumnGroup, ...] = ()
     literature: dict | None = None
 
 
@@ -284,7 +285,10 @@ def parse_criteria(selection) -> list[str]:
             raise ValidationError(f"the optimal criterion exists only at order 3, got {token!r}")
         if not optimal and (n < 3 or n % 2 == 0):
             raise ValidationError(f"moment criteria need odd order >= 3, got {token!r}")
-        out.append(f"p{n}oppt" if optimal else f"p{n}ppt")
+        name = f"p{n}oppt" if optimal else f"p{n}ppt"
+        if name in out:
+            raise ValidationError(f"criterion {name!r} is given more than once")
+        out.append(name)
     return out
 
 
@@ -301,43 +305,49 @@ def evaluate_criterion(token: str, moments: MomentVector, tol: float) -> Criteri
 # Reports
 
 
-def _pt_spectra(state: DensityMatrix) -> Callable[[int], np.ndarray]:
-    """spectrum(s): the ascending spectrum of rho^T_s, computed once per (state, s) on first
-    use.  The moments, negativity, smallest eigenvalue and PPT verdict all derive from it."""
-    return functools.cache(lambda s: linalg.hermitian_eigenvalues(partial_transpose(state, s)))
+class _Point:
+    """A state and, each computed on first use and kept, its partial transposes pt(s), their
+    ascending spectrum(s) and PT moments(s) up to kmax, and the criteria_moments() with their
+    provenance.  The caches close over locals, not over the record, so no cycle holds it."""
+
+    def __init__(self, state: DensityMatrix, kmax: int | None = None):
+        self.state = state
+        self.pt = pt = functools.cache(lambda s: partial_transpose(state, s))
+        self.spectrum = spectrum = functools.cache(lambda s: linalg.hermitian_eigenvalues(pt(s)))
+        self.moments = moments = functools.cache(
+            lambda s: moments_from_spectrum(spectrum(s), kmax, state.dim)
+        )
+
+        @functools.cache
+        def criteria_moments() -> tuple[MomentVector, str]:
+            if state.num_factors == 3:
+                return geometric_mean_moments([moments(s) for s in range(3)]), "tripartite-geometric-mean"
+            return moments(0), SUBSYSTEM_NAMES[0]
+
+        self.criteria_moments = criteria_moments
 
 
-def criteria_moments(
-    state: DensityMatrix, moments: Callable[[int], MomentVector]
-) -> tuple[MomentVector, str]:
-    """The moment vector the criteria are evaluated on, plus its provenance: subsystem-A
-    moments for bipartite states, the tripartite geometric mean for three-factor states,
-    from `moments(s)`, the PT moments over subsystem s."""
-    if state.num_factors == 3:
-        return geometric_mean_moments([moments(s) for s in range(3)]), "tripartite-geometric-mean"
-    return moments(0), SUBSYSTEM_NAMES[0]
-
-
-def _key_minors_block(state: DensityMatrix) -> dict:
+def _key_minors_block(point: _Point) -> dict:
+    state = point.state
     if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
-        return dict(zip(X_MINORS[state.dim].names, X_MINORS[state.dim].compute(state)))
-    if state.dim <= 8:
-        report = all_principal_minors(partial_transpose(state, 0))
+        return dict(zip(X_MINORS[state.dim].names, X_MINORS[state.dim].compute(point)))
+    if state.dim <= minors.MAX_ENUMERATION_DIM:
+        report = all_principal_minors(point.pt(0))
         return {
             "min_principal_minor": report.min_value,
             "min_index_set": list(report.min_index_set),
         }
-    return {"note": f"principal-minor enumeration unavailable for dim > 8"}
+    return {"note": f"principal-minor enumeration unavailable for dim > {minors.MAX_ENUMERATION_DIM}"}
 
 
-def _named_spectra(state: DensityMatrix, tol: float) -> dict[str, np.ndarray]:
+def _named_spectra(point: _Point, tol: float) -> dict[str, np.ndarray]:
     """The spectrum of each single-factor partial transpose keyed A, B, ..., once the
     tolerance and the number of factors a report can name are checked."""
     linalg.check_tolerance(tol)
-    limit = len(SUBSYSTEM_NAMES)
-    if state.num_factors > limit:
-        raise ValidationError(f"reports name at most {limit} tensor factors, got {state.num_factors}")
-    return dict(zip(SUBSYSTEM_NAMES, map(_pt_spectra(state), range(state.num_factors))))
+    count = point.state.num_factors
+    if count > len(SUBSYSTEM_NAMES):
+        raise ValidationError(f"reports name at most {len(SUBSYSTEM_NAMES)} tensor factors, got {count}")
+    return dict(zip(SUBSYSTEM_NAMES, map(point.spectrum, range(count))))
 
 
 def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
@@ -357,10 +367,11 @@ def analyze_state(
     minors, and the eigenvalue-oracle PPT verdicts, all read off one spectrum
     per partial transpose."""
     kmax = resolve_kmax(state.num_factors, kmax)
-    spectra = _named_spectra(state, tol)
-    per_subsystem = [moments_from_spectrum(eigs, kmax, state.dim) for eigs in spectra.values()]
-    crit_mv, source = criteria_moments(state, per_subsystem.__getitem__)
-    names = parse_criteria(criteria) if criteria else default_criteria(kmax)
+    point = _Point(state, kmax)
+    spectra = _named_spectra(point, tol)
+    moments = {name: point.moments(s) for s, name in enumerate(spectra)}
+    crit_mv, source = point.criteria_moments()
+    names = parse_criteria(criteria) if criteria is not None else default_criteria(kmax)
     verdicts = [evaluate_criterion(token, crit_mv, tol) for token in names]
     report = {
         "input": descriptor,
@@ -368,11 +379,11 @@ def analyze_state(
         "kmax": kmax,
         "tolerance": tol,
         "state": state_payload(state),
-        "moments": {name: list(mv.values) for name, mv in zip(spectra, per_subsystem)},
+        "moments": {name: list(mv.values) for name, mv in moments.items()},
         "criteria_moments": {"source": source, "values": list(crit_mv.values)},
         "criteria": [asdict(v) for v in verdicts],
         "negativity": {name: negativity_from_spectrum(eigs, tol) for name, eigs in spectra.items()},
-        "key_minors": _key_minors_block(state),
+        "key_minors": _key_minors_block(point),
         "oracle": _oracle_block(spectra, tol),
     }
     if state.dims == (2, 2):
@@ -386,7 +397,7 @@ def analyze_state(
 def oracle_state(state: DensityMatrix, descriptor: dict, tol: float = linalg.DEFAULT_PSD_TOL) -> dict:
     """Eigenvalue report: spectrum of the state and of every single-subsystem
     partial transpose, with PPT verdicts."""
-    spectra = _named_spectra(state, tol)
+    spectra = _named_spectra(_Point(state), tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
@@ -423,54 +434,43 @@ def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
 
 
 def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str], kmax: int, tol: float):
-    """Build (columns, evaluate, boundary transforms) for one family sweep."""
+    """Build (columns, evaluate, boundary floors) for one family sweep from one table of
+    column groups, which declares each column once."""
     param = family.sweep_param
-    moment_cols = [f"p{k}" for k in range(1, kmax + 1)]
-    margin_cols = [f"{token}_margin" for token in criteria]
-    columns = [param, *moment_cols, *margin_cols, "negativity_A", "pt_min_eig_A"]
-    # Columns whose zero crossings get refined by bisection, each mapped to
-    # the floor it crosses.
-    transforms = dict.fromkeys([*margin_cols, "pt_min_eig_A"], 0.0)
-    for group in family.minor_columns:
-        columns += group.names
-        transforms.update(dict.fromkeys(group.names, group.floor))
+
+    def margin(point: _Point, token: str) -> tuple[float]:
+        return (evaluate_criterion(token, point.criteria_moments()[0], tol).margin,)
+
+    groups = [
+        ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
+                    lambda point: point.criteria_moments()[0].values, floor=None),
+        *(ColumnGroup((f"{t}_margin",), functools.partial(margin, token=t)) for t in criteria),
+        ColumnGroup(("negativity_A",),
+                    lambda point: (negativity_from_spectrum(point.spectrum(0), tol),), floor=None),
+        ColumnGroup(("pt_min_eig_A",), lambda point: (float(point.spectrum(0)[0]),)),
+        *family.minor_columns,
+    ]
+    group_of = {name: group for group in groups for name in group.names}
+    columns = [param, *group_of]
+    # Columns whose zero crossings get refined by bisection, each mapped to the floor it crosses.
+    floors = {name: group.floor for name, group in group_of.items() if group.floor is not None}
 
     @functools.cache
-    def point(value: float):
-        """The state at one parameter value, its lazy PT spectra and criteria moments, and
-        the row of columns computed so far: each distinct value is built, validated and
-        diagonalised once per sweep."""
+    def point(value: float) -> tuple[_Point, dict[str, float]]:
+        """The record of the state at one parameter value, and the row of columns computed so
+        far: each distinct value is built, validated and diagonalised once per sweep."""
         state = build_family_state(family.name, {**fixed, param: value})
-        spectrum = _pt_spectra(state)
-        moments = functools.cache(
-            lambda: criteria_moments(
-                state, lambda s: moments_from_spectrum(spectrum(s), kmax, state.dim)
-            )[0]
-        )
-        return state, spectrum, moments, {param: value}
+        return _Point(state, kmax), {param: value}
 
     def evaluate(value: float, only: str | None = None) -> dict[str, float]:
         """The row at one parameter value; with `only`, just that column."""
-        state, spectrum, moments, row = point(value)
-
-        def wanted(*names: str) -> bool:
-            return (only is None or only in names) and names[0] not in row
-
-        if wanted(*moment_cols):
-            row.update(zip(moment_cols, moments().values))
-        for token, column in zip(criteria, margin_cols):
-            if wanted(column):
-                row[column] = evaluate_criterion(token, moments(), tol).margin
-        if wanted("negativity_A"):
-            row["negativity_A"] = negativity_from_spectrum(spectrum(0), tol)
-        if wanted("pt_min_eig_A"):
-            row["pt_min_eig_A"] = float(spectrum(0)[0])
-        for group in family.minor_columns:
-            if wanted(*group.names):
-                row.update(zip(group.names, group.compute(state)))
+        record, row = point(value)
+        for group in groups if only is None else (group_of[only],):
+            if group.names[0] not in row:
+                row.update(zip(group.names, group.compute(record)))
         return {c: row[c] for c in columns} if only is None else {only: row[only]}
 
-    return columns, evaluate, transforms
+    return columns, evaluate, floors
 
 
 def run_sweep(
@@ -507,14 +507,14 @@ def run_sweep(
         raise ValidationError(f"sweep grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
     linalg.check_tolerance(tol)
     kmax = resolve_kmax(record.factors, kmax)
-    names = parse_criteria(criteria) if criteria else default_criteria(kmax)
-    columns, evaluate, transforms = _sweep_evaluator(record, fixed, names, kmax, tol)
+    names = parse_criteria(criteria) if criteria is not None else default_criteria(kmax)
+    columns, evaluate, floors = _sweep_evaluator(record, fixed, names, kmax, tol)
     grid = np.linspace(lo, hi, count)
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]
 
     sign_changes: list[tuple[str, float]] = []
-    for column, floor in transforms.items():
+    for column, floor in floors.items():
         negative = np.array([row[column] - floor < 0.0 for row in table])
         for i in np.flatnonzero(negative[1:] != negative[:-1]):
             root = bisect_sign_change(

@@ -154,11 +154,11 @@ def x_state_key_minors(params: XStateParams) -> tuple[float, float]:
 X_PAIR_LABELS = {d: tuple((i, d + 1 - i) for i in range(1, d // 2 + 1)) for d in (4, 8)}
 
 
-def x_pair_minors(state: DensityMatrix) -> tuple[float, ...]:
-    """The minors at `X_PAIR_LABELS[state.dim]` of the partial transpose over
+def x_pair_minors(pt) -> tuple[float, ...]:
+    """The minors at `X_PAIR_LABELS[d]` of `pt`, the d x d partial transpose over
     A of a 2- or 3-qubit state, as one batched determinant."""
-    pt = linalg.assert_hermitian(partial_transpose(state, 0))
-    labels = X_PAIR_LABELS[state.dim]
+    pt = linalg.assert_hermitian(pt)
+    labels = X_PAIR_LABELS[pt.shape[0]]
     return tuple(_real_minors(_principal_dets(pt, np.array(labels) - 1), labels).tolist())
 
 
@@ -175,4 +175,4 @@ def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, flo
             f"state is not in three-qubit X form: entry ({i + 1},{j + 1}) "
             f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
         )
-    return x_pair_minors(state)
+    return x_pair_minors(partial_transpose(state, 0))

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ptmoments import DensityMatrix
+from ptmoments import DensityMatrix, analysis
+from ptmoments.moments import resolve_kmax
+
+# One valid parameter set per family; a new family must add one here.
+SAMPLE_PARAMS = {
+    "bell": {},
+    "ghz-noise": {"alpha": 0.5},
+    "w-noise": {"beta": 0.5},
+    "knoll": {"omega": 0.12, "eta": 0.21, "gamma": 0.3},
+    "x-state": {"r11": 0.4, "r22": 0.1, "r33": 0.1, "r44": 0.4, "re14": 0.3},
+}
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -55,3 +65,33 @@ def batched_partial_transpose_first(rho: np.ndarray, dims) -> np.ndarray:
     axes = [0] + list(range(1, 2 * n + 1))
     axes[1], axes[1 + n] = axes[1 + n], axes[1]
     return tensor.transpose(axes).reshape(count, d, d)
+
+
+def sweep_evaluator(name: str):
+    """(columns, evaluate, floors) of a fresh sweep of family `name` at its
+    SAMPLE_PARAMS, with the default criteria, kmax and tolerance."""
+    family = analysis.FAMILY_BY_NAME[name]
+    fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
+    kmax = resolve_kmax(family.factors, None)
+    criteria = analysis.default_criteria(kmax)
+    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10)
+
+
+def record_evaluations(monkeypatch) -> list:
+    """Patch `analysis._sweep_evaluator` so that every call of the `evaluate` it
+    builds appends (value, only, row) to the list returned here."""
+    calls = []
+    real_evaluator = analysis._sweep_evaluator
+
+    def recording_evaluator(*args, **kwargs):
+        columns, evaluate, floors = real_evaluator(*args, **kwargs)
+
+        def recording_evaluate(value, only=None):
+            row = evaluate(value, only=only)
+            calls.append((value, only, row))
+            return row
+
+        return columns, recording_evaluate, floors
+
+    monkeypatch.setattr(analysis, "_sweep_evaluator", recording_evaluator)
+    return calls

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ptmoments import analysis
 from ptmoments.analysis import MAX_GRID_POINTS, format_float, state_payload
 from ptmoments.cli import main
 from ptmoments.moments import MAX_KMAX
@@ -214,6 +215,52 @@ def test_empty_param_name_rejected(capsys, argv):
     assert run(argv) == 2
     item = argv[argv.index("--param") + 1]
     assert f"parameter {item!r} has an empty name" in capsys.readouterr().err
+
+
+SWEEP_W = ["sweep", "--family", "w-noise", "--range", "beta=0:1", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--family", "bell", "--criteria="], [*SWEEP_W, "--criteria="]], ids=["analyze", "sweep"]
+)
+def test_empty_criteria_rejected(capsys, argv):
+    # an empty string used to fall back to the default criteria, with exit 0
+    assert run(argv) == 2
+    assert "criteria list is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--family", "bell", "--criteria", "p3ppt,P3-PPT"], [*SWEEP_W, "--criteria", "p3ppt,p3ppt"]],
+    ids=["analyze", "sweep"],
+)
+def test_repeated_criterion_rejected(capsys, argv):
+    # the verdict, or the CSV column, used to appear twice
+    assert run(argv) == 2
+    assert "criterion 'p3ppt' is given more than once" in capsys.readouterr().err
+
+
+def test_knoll_report_bytes_do_not_depend_on_call_order(capsys):
+    # the base-state cache took -0.0 and 0.0 for one key, so the first call decided
+    # whether both reports printed -0.0 or 0.0 matrix entries
+    def reports(order):
+        analysis._knoll_base.cache_clear()
+        out = {}
+        for omega in order:
+            assert run(["analyze", "--family", "knoll", "--param", f"omega={omega}", "--param", "eta=0.3"]) == 0
+            out[omega] = capsys.readouterr().out
+        return out
+
+    assert reports(["0.0", "-0.0"]) == reports(["-0.0", "0.0"])
+
+
+def test_key_minors_note_above_the_enumeration_cap(tmp_path):
+    state = tmp_path / "dims3x3.json"
+    mixed9 = [[1 / 9 if i == j else 0.0, 0.0] for i in range(9) for j in range(9)]
+    state.write_text(json.dumps({"dims": [3, 3], "matrix": mixed9}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--file", str(state), "--out", str(out)]) == 0
+    assert read_json(out)["key_minors"] == {"note": "principal-minor enumeration unavailable for dim > 8"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "oracle"])

@@ -308,11 +308,11 @@ def test_x_pair_minors_equal_the_principal_minors_at_the_pairs():
         for state in (x_state(random_x_state(seed)), random_three_qubit_x_state(seed)):
             pt = partial_transpose(state, 0)
             expected = tuple(principal_minor(pt, pair) for pair in X_PAIR_LABELS[state.dim])
-            assert x_pair_minors(state) == expected
+            assert x_pair_minors(pt) == expected
 
 
-def test_knoll_sweep_row_builds_the_pt_over_a_twice(monkeypatch):
-    # once for the spectrum, once for both X-form pair minors
+def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
+    # the spectrum and both X-form pair minors read one matrix
     from ptmoments import analysis, minors
 
     subsystems = []
@@ -329,5 +329,5 @@ def test_knoll_sweep_row_builds_the_pt_over_a_twice(monkeypatch):
         family, {"omega": 0.12, "eta": 0.21}, analysis.default_criteria(6), 6, 1e-10
     )
     row = evaluate(0.4)
-    assert subsystems == [0, 0]
+    assert subsystems == [0]
     assert row["minor_14"] > 0 > row["minor_23"]

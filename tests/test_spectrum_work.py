@@ -5,20 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import SAMPLE_PARAMS, sweep_evaluator
 
 from ptmoments import analysis, bell_phi_plus, ghz_white_noise, random_density_matrix
 from ptmoments.analysis import FAMILY_BY_NAME, build_family_state, sweepable_families
-from ptmoments.moments import resolve_kmax
 from ptmoments.ptranspose import partial_transpose
-
-# One valid parameter set per family; a new family must add one here.
-SAMPLE_PARAMS = {
-    "bell": {},
-    "ghz-noise": {"alpha": 0.5},
-    "w-noise": {"beta": 0.5},
-    "knoll": {"omega": 0.12, "eta": 0.21, "gamma": 0.3},
-    "x-state": {"r11": 0.4, "r22": 0.1, "r33": 0.1, "r44": 0.4, "re14": 0.3},
-}
 
 
 @pytest.fixture
@@ -56,17 +47,9 @@ def test_report_eigendecompositions(eig_inputs, make, analyze_eigs, oracle_eigs)
     assert len(eig_inputs) == oracle_eigs
 
 
-def _evaluator(name: str):
-    family = FAMILY_BY_NAME[name]
-    fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
-    kmax = resolve_kmax(family.factors, None)
-    criteria = analysis.default_criteria(kmax)
-    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10)
-
-
 @pytest.mark.parametrize("name,spectra", [("w-noise", 3), ("ghz-noise", 3), ("knoll", 1)])
 def test_sweep_row_pt_spectra(eig_inputs, name, spectra):
-    _, evaluate, _ = _evaluator(name)
+    _, evaluate, _ = sweep_evaluator(name)
     param = FAMILY_BY_NAME[name].sweep_param
     state = build_family_state(name, {**SAMPLE_PARAMS[name], param: 0.4})
     pts = {partial_transpose(state, s).tobytes() for s in range(state.num_factors)}
@@ -77,7 +60,7 @@ def test_sweep_row_pt_spectra(eig_inputs, name, spectra):
 
 @pytest.mark.parametrize("name", sweepable_families())
 def test_column_evaluation_matches_full_row(name):
-    columns, evaluate, transforms = _evaluator(name)
+    columns, evaluate, transforms = sweep_evaluator(name)
     assert set(transforms) <= set(columns)
     for x in (0.05, 0.4, 0.77, 0.95):
         row = evaluate(x)

@@ -4,8 +4,10 @@ Deterministic counts only; no wall-clock assertions."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
-from test_spectrum_work import _evaluator
+from conftest import SAMPLE_PARAMS, record_evaluations, sweep_evaluator
 
 from ptmoments import analysis
 from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
@@ -23,11 +25,11 @@ GOLDEN_SWEEPS = {
 @pytest.mark.parametrize("name", sweepable_families())
 def test_fresh_column_evaluation_matches_fresh_full_row(name):
     # each side starts from an empty cache, so neither reads the other's values back
-    columns, _, transforms = _evaluator(name)
+    columns, _, transforms = sweep_evaluator(name)
     for x in (0.05, 0.4, 0.77, 0.95):
         for column in transforms:
-            _, full, _ = _evaluator(name)
-            _, single, _ = _evaluator(name)
+            _, full, _ = sweep_evaluator(name)
+            _, single, _ = sweep_evaluator(name)
             assert single(x, only=column) == {column: full(x)[column]}
 
 
@@ -35,31 +37,21 @@ def test_fresh_column_evaluation_matches_fresh_full_row(name):
 def traced_sweep(monkeypatch):
     """run_sweep, recording every value passed to `evaluate` and every
     `build_family_state` call."""
-    values, builds = [], []
-    real_evaluator = analysis._sweep_evaluator
+    evaluations = record_evaluations(monkeypatch)
+    builds = []
     real_build = analysis.build_family_state
-
-    def recording_evaluator(*args, **kwargs):
-        columns, evaluate, transforms = real_evaluator(*args, **kwargs)
-
-        def recording_evaluate(value, only=None):
-            values.append(value)
-            return evaluate(value, only=only)
-
-        return columns, recording_evaluate, transforms
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_sweep_evaluator", recording_evaluator)
     monkeypatch.setattr(analysis, "build_family_state", counting_build)
 
     def sweep(family, fixed):
-        values.clear()
+        evaluations.clear()
         builds.clear()
         result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
-        return result, values, builds
+        return result, [value for value, _, _ in evaluations], builds
 
     return sweep
 
@@ -97,3 +89,19 @@ def test_sweep_rows_equal_fresh_evaluations(label):
     for row in result.rows:
         _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, kmax, 1e-10)
         assert [fresh(row[0])[c] for c in result.columns] == row
+
+
+@pytest.mark.parametrize("name", sweepable_families())
+def test_sweep_leaves_no_cyclic_garbage(name):
+    # a point record whose caches closed over the record itself would keep every
+    # point of the sweep alive in a reference cycle until the cyclic collector ran
+    family = FAMILY_BY_NAME[name]
+    fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
+    gc.collect()
+    gc.disable()
+    try:
+        analysis.run_sweep(name, fixed, 0.0, 1.0, 11)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

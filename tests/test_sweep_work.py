@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from conftest import record_evaluations
 
 from ptmoments import analysis, minors
 
@@ -10,7 +11,6 @@ from ptmoments import analysis, minors
 def test_w_noise_sweep_work_counts(monkeypatch):
     det_calls = [0]
     dets_per_enumeration = []
-    rows = []
 
     real_det = np.linalg.det
 
@@ -26,25 +26,14 @@ def test_w_noise_sweep_work_counts(monkeypatch):
         dets_per_enumeration.append(det_calls[0] - before)
         return report
 
-    real_evaluator = analysis._sweep_evaluator
-
-    def recording_evaluator(*args, **kwargs):
-        columns, evaluate, transforms = real_evaluator(*args, **kwargs)
-
-        def recording_evaluate(value, only=None):
-            row = evaluate(value, only=only)
-            rows.append((only, row))
-            return row
-
-        return columns, recording_evaluate, transforms
-
     monkeypatch.setattr(np.linalg, "det", counting_det)
     # the sweep calls the enumeration through the name analysis imported
     monkeypatch.setattr(analysis, "all_principal_minors", counting_enumerate)
     monkeypatch.setattr(minors, "all_principal_minors", counting_enumerate)
-    monkeypatch.setattr(analysis, "_sweep_evaluator", recording_evaluator)
+    evaluations = record_evaluations(monkeypatch)
 
     result = analysis.run_sweep("w-noise", {}, 0.0, 1.0, 101)
+    rows = [(only, row) for _, only, row in evaluations]
 
     # one batched determinant per subset size of the 8x8 partial transpose
     assert dets_per_enumeration and set(dets_per_enumeration) == {8}
