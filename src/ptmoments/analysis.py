@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -20,13 +19,10 @@ from .channels import amplitude_damping, apply_channel, concurrence
 from .errors import ValidationError
 from .minors import X_PAIR_LABELS, all_principal_minors, is_x_pattern, x_pair_minors
 from .moments import (
-    CriterionVerdict,
     MomentVector,
     geometric_mean_moments,
     moments_from_spectrum,
-    p3_oppt_test,
-    p3_ppt_test,
-    pn_ppt_test,
+    resolve_criteria,
     resolve_kmax,
 )
 from .ptranspose import negativity_from_spectrum, partial_transpose
@@ -51,8 +47,6 @@ MAX_GRID_POINTS = 10_001
 
 # Halvings a bisection may take; 60 already shrink a unit interval below any xtol in use.
 BISECT_MAX_ITER = 200
-
-_CRITERION_TOKEN = re.compile(r"^p(\d+)(o?)ppt$")
 
 
 # ---------------------------------------------------------------------------
@@ -254,54 +248,6 @@ def load_state_json(path) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Criteria
-
-
-def default_criteria(kmax: int) -> list[str]:
-    names = ["p3ppt", "p3oppt"]
-    for n in (5, 7):
-        if kmax >= n:
-            names.append(f"p{n}ppt")
-    return names
-
-
-def parse_criteria(selection) -> list[str]:
-    """Normalize a comma list such as 'p3ppt,p3oppt,p5ppt' into tokens."""
-    if isinstance(selection, str):
-        tokens = [t.strip() for t in selection.split(",") if t.strip()]
-    else:
-        tokens = list(selection)
-    if not tokens:
-        raise ValidationError("criteria list is empty")
-    out = []
-    for token in tokens:
-        match = _CRITERION_TOKEN.match(token.replace("-", "").lower())
-        if not match:
-            raise ValidationError(
-                f"unknown criterion {token!r}; expected p3ppt, p3oppt, p5ppt, p7ppt, ..."
-            )
-        n, optimal = int(match.group(1)), bool(match.group(2))
-        if optimal and n != 3:
-            raise ValidationError(f"the optimal criterion exists only at order 3, got {token!r}")
-        if not optimal and (n < 3 or n % 2 == 0):
-            raise ValidationError(f"moment criteria need odd order >= 3, got {token!r}")
-        name = f"p{n}oppt" if optimal else f"p{n}ppt"
-        if name in out:
-            raise ValidationError(f"criterion {name!r} is given more than once")
-        out.append(name)
-    return out
-
-
-def evaluate_criterion(token: str, moments: MomentVector, tol: float) -> CriterionVerdict:
-    """Verdict of one token as `parse_criteria` or `default_criteria` spell it."""
-    if token == "p3oppt":
-        return p3_oppt_test(moments, tol)
-    if token == "p3ppt":
-        return p3_ppt_test(moments, tol)
-    return pn_ppt_test(moments, int(token[1:-3]), tol)
-
-
-# ---------------------------------------------------------------------------
 # Reports
 
 
@@ -371,8 +317,7 @@ def analyze_state(
     spectra = _named_spectra(point, tol)
     moments = {name: point.moments(s) for s, name in enumerate(spectra)}
     crit_mv, source = point.criteria_moments()
-    names = parse_criteria(criteria) if criteria is not None else default_criteria(kmax)
-    verdicts = [evaluate_criterion(token, crit_mv, tol) for token in names]
+    verdicts = [test(crit_mv, tol) for test in resolve_criteria(criteria, kmax).values()]
     report = {
         "input": descriptor,
         "dims": list(state.dims),
@@ -433,18 +378,15 @@ def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: list[str], kmax: int, tol: float):
+def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: dict, kmax: int, tol: float):
     """Build (columns, evaluate, boundary floors) for one family sweep from one table of
-    column groups, which declares each column once."""
+    column groups, which declares each column once; `criteria` maps each token to its test."""
     param = family.sweep_param
-
-    def margin(point: _Point, token: str) -> tuple[float]:
-        return (evaluate_criterion(token, point.criteria_moments()[0], tol).margin,)
-
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
                     lambda point: point.criteria_moments()[0].values, floor=None),
-        *(ColumnGroup((f"{t}_margin",), functools.partial(margin, token=t)) for t in criteria),
+        *(ColumnGroup((f"{t}_margin",), lambda point, test=test: (test(point.criteria_moments()[0], tol).margin,))
+          for t, test in criteria.items()),
         ColumnGroup(("negativity_A",),
                     lambda point: (negativity_from_spectrum(point.spectrum(0), tol),), floor=None),
         ColumnGroup(("pt_min_eig_A",), lambda point: (float(point.spectrum(0)[0]),)),
@@ -507,8 +449,7 @@ def run_sweep(
         raise ValidationError(f"sweep grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
     linalg.check_tolerance(tol)
     kmax = resolve_kmax(record.factors, kmax)
-    names = parse_criteria(criteria) if criteria is not None else default_criteria(kmax)
-    columns, evaluate, floors = _sweep_evaluator(record, fixed, names, kmax, tol)
+    columns, evaluate, floors = _sweep_evaluator(record, fixed, resolve_criteria(criteria, kmax), kmax, tol)
     grid = np.linspace(lo, hi, count)
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]

@@ -158,10 +158,6 @@ def concurrence(state: DensityMatrix) -> float:
         raise ValidationError(f"concurrence needs a two-qubit state, got dims {state.dims}")
     m = state.matrix
     eigs, vecs = np.linalg.eigh(m)
-    if eigs.min() < -1e-12:
-        raise NumericsError(
-            f"state spectrum has a significantly negative value {eigs.min():.3e}"
-        )
     sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     roots = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
     value = float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))

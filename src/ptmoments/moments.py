@@ -167,6 +167,42 @@ def p3_oppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> 
     return CriterionVerdict.from_margin("p3-oppt", margin, tol)
 
 
+_HANKEL_ORDERS = range(5, MAX_KMAX + 1, 2)  # the orders past 3 that MAX_KMAX moments can feed
+
+# Each criterion's token -> (highest moment order it reads, test(moments, tol)).  The tests
+# are looked up among this module's globals at call time, so a substitute bound to those
+# names sees every call.
+CRITERIA = {
+    "p3ppt": (3, lambda mv, tol: p3_ppt_test(mv, tol)),
+    "p3oppt": (3, lambda mv, tol: p3_oppt_test(mv, tol)),
+    **{f"p{n}ppt": (n, lambda mv, tol, n=n: pn_ppt_test(mv, n, tol)) for n in _HANKEL_ORDERS},
+}
+
+
+def resolve_criteria(selection: str | None, kmax: int) -> dict:
+    """{token: test} for a comma list such as 'p3ppt,P3-OPPT,p5ppt', or by default p3ppt and
+    p3oppt, then p5ppt and p7ppt while kmax reaches them.  Each token, matched in any case with
+    hyphens dropped, must be known, given once, and read at most kmax moments."""
+    if selection is None:
+        tokens = ["p3ppt", "p3oppt", *(t for t in ("p5ppt", "p7ppt") if CRITERIA[t][0] <= kmax)]
+    else:
+        tokens = [t.strip() for t in selection.split(",") if t.strip()]
+        if not tokens:
+            raise ValidationError("criteria list is empty")
+    tests = {}
+    for token in tokens:
+        name = token.replace("-", "").lower()
+        if name not in CRITERIA:
+            raise ValidationError(f"unknown criterion {token!r}; expected p3ppt, p3oppt or p<n>ppt "
+                                  f"with odd n in {_HANKEL_ORDERS[0]}..{_HANKEL_ORDERS[-1]}")
+        if name in tests:
+            raise ValidationError(f"criterion {name!r} is given more than once")
+        order, tests[name] = CRITERIA[name]
+        if order > kmax:
+            raise ValidationError(f"criterion {name!r} needs kmax >= {order}, got {kmax}")
+    return tests
+
+
 def geometric_mean_moments(vectors) -> MomentVector:
     """Entrywise geometric mean of three moment vectors of one state, using
     the signed real cube root so odd moments stay real."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ptmoments import DensityMatrix, analysis
-from ptmoments.moments import resolve_kmax
+from ptmoments.moments import resolve_criteria, resolve_kmax
 
 # One valid parameter set per family; a new family must add one here.
 SAMPLE_PARAMS = {
@@ -73,7 +73,7 @@ def sweep_evaluator(name: str):
     family = analysis.FAMILY_BY_NAME[name]
     fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
     kmax = resolve_kmax(family.factors, None)
-    criteria = analysis.default_criteria(kmax)
+    criteria = resolve_criteria(None, kmax)
     return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10)
 
 

@@ -173,6 +173,11 @@ class TestBreakingThreshold:
         with pytest.raises(ValidationError):
             ebc_gamma_threshold(0.5, 1.0)
 
+    def test_underflowing_denominator_rejected(self):
+        # both terms of the denominator underflow to 0.0 inside the open interval
+        with pytest.raises(ValidationError, match="threshold denominator vanishes"):
+            ebc_gamma_threshold(1e-200, 1e-200)
+
     def test_formula_matches_concurrence_bisection_on_grid(self):
         # thresholds on this grid stay inside (0, 1): omega small, eta large
         for omega in np.linspace(0.05, 0.25, 5):

@@ -6,6 +6,7 @@ import pytest
 from ptmoments import analysis
 from ptmoments.analysis import MAX_GRID_POINTS, format_float, state_payload
 from ptmoments.cli import main
+from ptmoments.errors import NumericsError
 from ptmoments.moments import MAX_KMAX
 from ptmoments.states import bell_phi_plus
 
@@ -238,6 +239,112 @@ def test_repeated_criterion_rejected(capsys, argv):
     # the verdict, or the CSV column, used to appear twice
     assert run(argv) == 2
     assert "criterion 'p3ppt' is given more than once" in capsys.readouterr().err
+
+
+UNKNOWN_CRITERION = "expected p3ppt, p3oppt or p<n>ppt with odd n in 5..31"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["--kmax", "1"], "criterion 'p3ppt' needs kmax >= 3, got 1"),
+        (["--kmax", "2"], "criterion 'p3ppt' needs kmax >= 3, got 2"),
+        (["--kmax", "3", "--criteria", "p5ppt"], "criterion 'p5ppt' needs kmax >= 5, got 3"),
+        (["--criteria", "p5oppt"], f"unknown criterion 'p5oppt'; {UNKNOWN_CRITERION}"),
+        (["--criteria", "p4ppt"], f"unknown criterion 'p4ppt'; {UNKNOWN_CRITERION}"),
+        (["--kmax", "32", "--criteria", "p33ppt"], f"unknown criterion 'p33ppt'; {UNKNOWN_CRITERION}"),
+    ],
+    ids=["kmax1", "kmax2", "p5ppt-kmax3", "p5oppt", "p4ppt", "p33ppt"],
+)
+def test_criterion_beyond_the_table_rejected(capsys, command, options, message):
+    # --kmax 1 and 2 used to pass the kmax check and fail later on "moment p_3 not available"
+    source = SWEEP_W if command == "sweep" else ["analyze", "--family", "w-noise", "--param", "beta=0.5"]
+    assert run([*source, *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_highest_order_criterion_accepted(tmp_path, command):
+    source = SWEEP_W if command == "sweep" else ["analyze", "--family", "w-noise", "--param", "beta=0.5"]
+    out = tmp_path / "out.txt"
+    assert run([*source, "--criteria", "p31ppt", "--kmax", "32", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert ("p31ppt_margin" if command == "sweep" else '"criterion": "p31-ppt"') in text
+
+
+def test_near_psd_state_analyzed(tmp_path, capsys):
+    # a spectrum inside the PSD tolerance band used to pass validation and then fail
+    # the concurrence's own stricter check with exit 3
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    matrix = (q * np.array([-5e-11, 0.2, 0.3, 0.5 + 5e-11])) @ q.conj().T
+    matrix = (matrix + matrix.conj().T) / 2
+    assert np.linalg.eigvalsh(matrix)[0] < -1e-11
+    state = tmp_path / "near-psd.json"
+    state.write_text(json.dumps({"dims": [2, 2], "matrix": [[z.real, z.imag] for z in matrix.ravel()]}))
+    for command in ("oracle", "analyze"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--file", str(state), "--out", str(out)]) == 0
+    assert 0.0 <= read_json(tmp_path / "analyze.json")["concurrence"] <= 1.0
+    assert capsys.readouterr().err == ""
+
+
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise NumericsError("injected")
+
+    monkeypatch.setattr(analysis, "all_principal_minors", failing)
+    assert run(["analyze", "--family", "w-noise", "--param", "beta=0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical assertion failure: injected\n"
+
+
+STATE_FILES = {
+    "array": [MIXED4],
+    "no-matrix": {"dims": [2, 2]},
+    "empty-dims": {"dims": [], "matrix": MIXED4},
+}
+SWEEP_B = ["sweep", "--family", "w-noise", "--range"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", "--family", "ghz-noise", "--param", "alpha"], "parameter 'alpha' is not of the form name=value"),
+        (["analyze", "--family", "ghz-noise", "--param", "alpha=x"], "parameter 'alpha' has non-numeric value 'x'"),
+        (["analyze", "--file", "{array}", "--param", "alpha=0.5"], "--param applies only to --family inputs"),
+        ([*SWEEP_B, "beta"], "range 'beta' is not of the form name=lo:hi"),
+        ([*SWEEP_B, "beta=a:1"], "range bounds in 'beta=a:1' must be numbers"),
+        ([*SWEEP_B, "beta=0:nan"], "sweep range [0.0, nan] must satisfy 0 <= lo < hi <= 1"),
+        ([*SWEEP_B, "beta=0:1", "--param", "beta=0.5"], "swept parameter 'beta' must not also be fixed via --param"),
+        ([*SWEEP_B, "beta=0:1", "--step", "0"], "--step must be positive, got 0.0"),
+        ([*SWEEP_B, "beta=0:1", "--step", "nan"], "--step must be positive, got nan"),
+        ([*SWEEP_B, "beta=0:1", "--steps", "1"], "sweep needs at least 2 grid points, got 1"),
+        (["analyze", "--file", "{array}"], "state payload must be a JSON object"),
+        (["oracle", "--file", "{no-matrix}"], "state payload needs 'dims' and 'matrix' fields"),
+        (["analyze", "--file", "{empty-dims}"], "'dims' must be a nonempty array of integers"),
+        (["oracle", "--file", "{missing}"], "cannot read state file "),
+        (["analyze", "--family", "knoll", "--param", "omega=0.12"], "family 'knoll' is missing parameter(s): eta"),
+    ],
+    ids=[
+        "param-no-equals", "param-non-numeric", "param-with-file", "range-no-bounds", "range-non-numeric",
+        "range-nan", "swept-param-fixed", "step-zero", "step-nan", "steps-one", "file-array",
+        "file-no-matrix", "file-empty-dims", "file-missing", "family-missing-param",
+    ],
+)
+def test_input_error_messages(tmp_path, capsys, argv, message):
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, payload in STATE_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    assert run([arg.format(**paths) if arg.startswith("{") else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_knoll_report_bytes_do_not_depend_on_call_order(capsys):

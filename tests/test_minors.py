@@ -314,6 +314,7 @@ def test_x_pair_minors_equal_the_principal_minors_at_the_pairs():
 def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
     # the spectrum and both X-form pair minors read one matrix
     from ptmoments import analysis, minors
+    from ptmoments.moments import resolve_criteria
 
     subsystems = []
     real = analysis.partial_transpose
@@ -326,7 +327,7 @@ def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
     monkeypatch.setattr(minors, "partial_transpose", counting)
     family = analysis.FAMILY_BY_NAME["knoll"]
     columns, evaluate, _ = analysis._sweep_evaluator(
-        family, {"omega": 0.12, "eta": 0.21}, analysis.default_criteria(6), 6, 1e-10
+        family, {"omega": 0.12, "eta": 0.21}, resolve_criteria(None, 6), 6, 1e-10
     )
     row = evaluate(0.4)
     assert subsystems == [0]

@@ -31,7 +31,13 @@ from ptmoments import (
     x_state_moments_closed_form,
 )
 from ptmoments.analysis import analyze_state
-from ptmoments.moments import MAX_KMAX, moments_from_minor_sums, moments_from_spectrum
+from ptmoments.moments import (
+    CRITERIA,
+    MAX_KMAX,
+    moments_from_minor_sums,
+    moments_from_spectrum,
+    resolve_criteria,
+)
 
 GHZ_POLYNOMIALS = (
     lambda a: 1.0,
@@ -321,3 +327,22 @@ def test_no_criterion_fires_on_separable_states():
         assert not p3_ppt_test(mv).violated
         assert not p3_oppt_test(mv).violated
         assert not pn_ppt_test(mv, 5).violated
+
+
+def test_criteria_table():
+    assert list(CRITERIA) == ["p3ppt", "p3oppt", *(f"p{n}ppt" for n in range(5, MAX_KMAX, 2))]
+    mv = pt_moments(ghz_white_noise(0.5), 0, MAX_KMAX)
+    for token, (order, test) in CRITERIA.items():
+        assert test(mv, 1e-10).criterion.replace("-", "") == token
+        # any case, hyphens dropped: P5-PPT, P3O-PPT
+        assert resolve_criteria(f" {token[:-3].upper()}-{token[-3:].upper()} ", order) == {token: test}
+        with pytest.raises(ValidationError, match=f"criterion '{token}' needs kmax >= {order}, got {order - 1}$"):
+            resolve_criteria(token.upper(), order - 1)
+
+
+@pytest.mark.parametrize(
+    "kmax,tokens",
+    [(3, ["p3ppt", "p3oppt"]), (6, ["p3ppt", "p3oppt", "p5ppt"]), (MAX_KMAX, ["p3ppt", "p3oppt", "p5ppt", "p7ppt"])],
+)
+def test_default_criteria(kmax, tokens):
+    assert list(resolve_criteria(None, kmax)) == tokens

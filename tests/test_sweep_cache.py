@@ -11,7 +11,7 @@ from conftest import SAMPLE_PARAMS, record_evaluations, sweep_evaluator
 
 from ptmoments import analysis
 from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
-from ptmoments.moments import resolve_kmax
+from ptmoments.moments import resolve_criteria, resolve_kmax
 
 # The 101-step sweeps of the golden files: family and fixed parameters.
 GOLDEN_SWEEPS = {
@@ -25,12 +25,15 @@ GOLDEN_SWEEPS = {
 @pytest.mark.parametrize("name", sweepable_families())
 def test_fresh_column_evaluation_matches_fresh_full_row(name):
     # each side starts from an empty cache, so neither reads the other's values back
-    columns, _, transforms = sweep_evaluator(name)
+    columns, _, floors = sweep_evaluator(name)
+    assert set(floors) <= set(columns)
     for x in (0.05, 0.4, 0.77, 0.95):
-        for column in transforms:
+        for column in floors:
             _, full, _ = sweep_evaluator(name)
             _, single, _ = sweep_evaluator(name)
-            assert single(x, only=column) == {column: full(x)[column]}
+            row = full(x)
+            assert set(row) == set(columns)
+            assert single(x, only=column) == {column: row[column]}
 
 
 @pytest.fixture
@@ -85,7 +88,7 @@ def test_sweep_rows_equal_fresh_evaluations(label):
     result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
     record = FAMILY_BY_NAME[family]
     kmax = resolve_kmax(record.factors, None)
-    criteria = analysis.default_criteria(kmax)
+    criteria = resolve_criteria(None, kmax)
     for row in result.rows:
         _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, kmax, 1e-10)
         assert [fresh(row[0])[c] for c in result.columns] == row
