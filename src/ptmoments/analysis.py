@@ -10,28 +10,37 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg, minors
-from .channels import amplitude_damping, apply_channel, concurrence
-from .errors import ValidationError
-from .minors import X_PAIR_LABELS, all_principal_minors, is_x_pattern, x_pair_minors
-from .moments import (
-    MomentVector,
-    geometric_mean_moments,
-    moments_from_spectrum,
-    resolve_criteria,
-    resolve_kmax,
+from .channels import (
+    amplitude_damped_matrices,
+    amplitude_damping,
+    apply_channel,
+    concurrence,
+    matrix_concurrence,
 )
-from .ptranspose import negativity_from_spectrum, partial_transpose
+from .errors import ValidationError
+from .minors import (
+    X_PAIR_LABELS,
+    all_principal_minors,
+    is_x_pattern,
+    min_principal_minors,
+    x_pair_minor_stack,
+)
+from .moments import MomentVector, geometric_mean_moments, power_sums, resolve_criteria, resolve_kmax
+from .ptranspose import negativity_from_spectrum, transpose_subsystem
 from .states import (
     DensityMatrix,
     XStateParams,
     bell_phi_plus,
+    density_matrix_spectra,
+    ghz_noise_matrices,
     ghz_white_noise,
     knoll_state,
+    w_noise_matrices,
     w_white_noise,
     x_state,
 )
@@ -60,9 +69,13 @@ def _knoll_base(omega: float, eta: float) -> DensityMatrix:
     return knoll_state(omega, eta)
 
 
-def _build_knoll(params: dict[str, float]) -> DensityMatrix:
+def _knoll_base_of(params: dict) -> DensityMatrix:
     # -0.0 + 0.0 is 0.0: the cache takes both zeros for one key, so both must build one state.
-    state = _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
+    return _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
+
+
+def _build_knoll(params: dict[str, float]) -> DensityMatrix:
+    state = _knoll_base_of(params)
     gamma = params.get("gamma")
     if gamma is not None:
         state = apply_channel(state, amplitude_damping(gamma), 1)
@@ -84,25 +97,28 @@ def _build_x_state(params: dict[str, float]) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Sweep columns one function of a state's `_Point` computes together, and the floor
-    their sweep boundaries cross, or None where no boundary is located."""
+    """Sweep columns one function of a `_Points` record computes together, as one row of
+    values per state, and the floor their sweep boundaries cross, or None where no boundary
+    is located."""
 
     names: tuple[str, ...]
-    compute: Callable[[_Point], tuple[float, ...]]
+    compute: Callable[[_Points], Sequence[Sequence[float]]]
     floor: float | None = 0.0
 
 
 # Column functions look the minor functions up among this module's globals at
 # call time, so a substitute bound to those names sees every call.
 X_MINORS = {  # by matrix dimension: the X-form pair minors, named minor_<i><j>
-    dim: ColumnGroup(tuple(f"minor_{i}{j}" for i, j in pairs), lambda point: x_pair_minors(point.pt(0)))
+    dim: ColumnGroup(tuple(f"minor_{i}{j}" for i, j in pairs),
+                     lambda points: x_pair_minor_stack(points.pt(0)).tolist())
     for dim, pairs in X_PAIR_LABELS.items()
 }
 MIN_PT_MINOR = ColumnGroup(
-    ("min_principal_minor",), lambda point: (all_principal_minors(point.pt(0)).min_value,)
+    ("min_principal_minor",), lambda points: min_principal_minors(points.pt(0))[:, None].tolist()
 )
 CONCURRENCE_COLUMN = ColumnGroup(
-    ("concurrence",), lambda point: (concurrence(point.state),), floor=CONCURRENCE_FLOOR
+    ("concurrence",), lambda points: [(matrix_concurrence(m),) for m in points.matrices],
+    floor=CONCURRENCE_FLOOR,
 )
 
 # Genuine-multipartite-entanglement bounds quoted in reports are documentation
@@ -113,17 +129,19 @@ _QUOTED = "literature value; not reproduced by this tool"
 
 @dataclass(frozen=True)
 class Family:
-    """A named state family and its report's literature note; a sweepable
-    family also names its swept parameter and its sweep's minor columns."""
+    """A named state family and its report's literature note; a sweepable family also names
+    its swept parameter, its sweep's minor columns, and `stack`, which builds the unvalidated
+    matrices (n, d, d) of `build` from parameters whose swept one is an array of n values."""
 
     name: str
     build: Callable[[dict[str, float]], DensityMatrix]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
-    factors: int = 2  # tensor factors of every state it builds
+    factors: int = 2  # qubits of every state it builds
     sweep_param: str | None = None
     minor_columns: tuple[ColumnGroup, ...] = ()
     literature: dict | None = None
+    stack: Callable[[dict], np.ndarray] | None = None
 
 
 FAMILY_BY_NAME = {
@@ -131,12 +149,15 @@ FAMILY_BY_NAME = {
         Family("bell", lambda params: bell_phi_plus()),
         Family("ghz-noise", lambda params: ghz_white_noise(params["alpha"]), ("alpha",), factors=3,
                sweep_param="alpha", minor_columns=(X_MINORS[8],),
-               literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}}),
+               literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}},
+               stack=lambda params: ghz_noise_matrices(params["alpha"])),
         Family("w-noise", lambda params: w_white_noise(params["beta"]), ("beta",), factors=3,
                sweep_param="beta", minor_columns=(MIN_PT_MINOR,),
-               literature={_GME: {"beta_max": 0.521, "status": _QUOTED}}),
+               literature={_GME: {"beta_max": 0.521, "status": _QUOTED}},
+               stack=lambda params: w_noise_matrices(params["beta"])),
         Family("knoll", _build_knoll, ("omega", "eta"), ("gamma",),
-               sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN)),
+               sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN),
+               stack=lambda params: amplitude_damped_matrices(_knoll_base_of(params), params["gamma"], 1)),
         Family(
             "x-state", _build_x_state, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
         ),
@@ -148,8 +169,8 @@ def sweepable_families() -> list[str]:
     return [name for name, family in FAMILY_BY_NAME.items() if family.sweep_param]
 
 
-def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
-    """Construct a named-family state, validating parameter names."""
+def _family_for(family: str, params: dict) -> Family:
+    """The record of a named family, once the parameter names are checked against it."""
     record = FAMILY_BY_NAME.get(family)
     if record is None:
         raise ValidationError(
@@ -168,7 +189,20 @@ def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
         raise ValidationError(
             f"family {family!r} is missing parameter(s): {', '.join(missing)}"
         )
-    return record.build(params)
+    return record
+
+
+def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
+    """Construct a named-family state, validating parameter names."""
+    return _family_for(family, params).build(params)
+
+
+def build_family_stack(family: str, params: dict) -> np.ndarray:
+    """The states `build_family_state` builds at each value of a sweepable family's swept
+    parameter, which `params` maps to an array of n values, as one validated stack (n, d, d)."""
+    matrices = _family_for(family, params).stack(params)
+    density_matrix_spectra(matrices)
+    return matrices
 
 
 def parse_param_assignments(assignments) -> dict[str, float]:
@@ -251,34 +285,46 @@ def load_state_json(path) -> DensityMatrix:
 # Reports
 
 
-class _Point:
-    """A state and, each computed on first use and kept, its partial transposes pt(s), their
-    ascending spectrum(s) and PT moments(s) up to kmax, and the criteria_moments() with their
-    provenance.  The caches close over locals, not over the record, so no cycle holds it."""
+class _Points:
+    """States of one layout as a stack (n, d, d) and, each computed for the whole stack on first
+    use and kept: the partial transpose over A, pt(0) (n, d, d); every cut's ascending
+    spectrum(s) (n, d); every cut's PT moments(s) up to kmax, one MomentVector per state; and
+    the criteria_moments() with their provenance.  pt(s) over any other cut is built anew each
+    time, so it goes once its spectrum is taken.  The caches close over locals, not over the
+    record, so no cycle holds it."""
 
-    def __init__(self, state: DensityMatrix, kmax: int | None = None):
-        self.state = state
-        self.pt = pt = functools.cache(lambda s: partial_transpose(state, s))
+    def __init__(self, matrices: np.ndarray, dims: tuple[int, ...], kmax: int | None = None):
+        self.matrices = matrices
+        dim = matrices.shape[-1]
+        pt_a = functools.cache(lambda: transpose_subsystem(matrices, dims, 0))
+        self.pt = pt = lambda s: pt_a() if s == 0 else transpose_subsystem(matrices, dims, s)
         self.spectrum = spectrum = functools.cache(lambda s: linalg.hermitian_eigenvalues(pt(s)))
         self.moments = moments = functools.cache(
-            lambda s: moments_from_spectrum(spectrum(s), kmax, state.dim)
+            lambda s: [MomentVector(tuple(p), dim) for p in power_sums(spectrum(s), kmax).tolist()]
         )
 
         @functools.cache
-        def criteria_moments() -> tuple[MomentVector, str]:
-            if state.num_factors == 3:
-                return geometric_mean_moments([moments(s) for s in range(3)]), "tripartite-geometric-mean"
+        def criteria_moments() -> tuple[list[MomentVector], str]:
+            if len(dims) == 3:
+                cuts = np.array([[mv.values for mv in moments(s)] for s in range(3)])
+                mean = geometric_mean_moments(cuts).tolist()
+                return [MomentVector(tuple(p), dim) for p in mean], "tripartite-geometric-mean"
             return moments(0), SUBSYSTEM_NAMES[0]
 
         self.criteria_moments = criteria_moments
 
+    @classmethod
+    def of(cls, state: DensityMatrix, kmax: int | None = None) -> _Points:
+        """The record of one state, a stack of one."""
+        return cls(state.matrix[None], state.dims, kmax)
 
-def _key_minors_block(point: _Point) -> dict:
-    state = point.state
+
+def _key_minors_block(state: DensityMatrix, point: _Points) -> dict:
     if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
-        return dict(zip(X_MINORS[state.dim].names, X_MINORS[state.dim].compute(point)))
+        group = X_MINORS[state.dim]
+        return dict(zip(group.names, group.compute(point)[0]))
     if state.dim <= minors.MAX_ENUMERATION_DIM:
-        report = all_principal_minors(point.pt(0))
+        report = all_principal_minors(point.pt(0)[0])
         return {
             "min_principal_minor": report.min_value,
             "min_index_set": list(report.min_index_set),
@@ -286,14 +332,14 @@ def _key_minors_block(point: _Point) -> dict:
     return {"note": f"principal-minor enumeration unavailable for dim > {minors.MAX_ENUMERATION_DIM}"}
 
 
-def _named_spectra(point: _Point, tol: float) -> dict[str, np.ndarray]:
+def _named_spectra(state: DensityMatrix, point: _Points, tol: float) -> dict[str, np.ndarray]:
     """The spectrum of each single-factor partial transpose keyed A, B, ..., once the
     tolerance and the number of factors a report can name are checked."""
     linalg.check_tolerance(tol)
-    count = point.state.num_factors
+    count = state.num_factors
     if count > len(SUBSYSTEM_NAMES):
         raise ValidationError(f"reports name at most {len(SUBSYSTEM_NAMES)} tensor factors, got {count}")
-    return dict(zip(SUBSYSTEM_NAMES, map(point.spectrum, range(count))))
+    return {name: point.spectrum(s)[0] for s, name in zip(range(count), SUBSYSTEM_NAMES)}
 
 
 def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
@@ -313,10 +359,11 @@ def analyze_state(
     minors, and the eigenvalue-oracle PPT verdicts, all read off one spectrum
     per partial transpose."""
     kmax = resolve_kmax(state.num_factors, kmax)
-    point = _Point(state, kmax)
-    spectra = _named_spectra(point, tol)
-    moments = {name: point.moments(s) for s, name in enumerate(spectra)}
-    crit_mv, source = point.criteria_moments()
+    point = _Points.of(state, kmax)
+    spectra = _named_spectra(state, point, tol)
+    moments = {name: point.moments(s)[0] for s, name in enumerate(spectra)}
+    crit, source = point.criteria_moments()
+    crit_mv = crit[0]
     verdicts = [test(crit_mv, tol) for test in resolve_criteria(criteria, kmax).values()]
     report = {
         "input": descriptor,
@@ -328,7 +375,7 @@ def analyze_state(
         "criteria_moments": {"source": source, "values": list(crit_mv.values)},
         "criteria": [asdict(v) for v in verdicts],
         "negativity": {name: negativity_from_spectrum(eigs, tol) for name, eigs in spectra.items()},
-        "key_minors": _key_minors_block(point),
+        "key_minors": _key_minors_block(state, point),
         "oracle": _oracle_block(spectra, tol),
     }
     if state.dims == (2, 2):
@@ -342,11 +389,11 @@ def analyze_state(
 def oracle_state(state: DensityMatrix, descriptor: dict, tol: float = linalg.DEFAULT_PSD_TOL) -> dict:
     """Eigenvalue report: spectrum of the state and of every single-subsystem
     partial transpose, with PPT verdicts."""
-    spectra = _named_spectra(_Point(state), tol)
+    spectra = _named_spectra(state, _Points.of(state), tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
-        "state_eigenvalues": [float(v) for v in linalg.hermitian_eigenvalues(state.matrix)],
+        "state_eigenvalues": [float(v) for v in state.spectrum],
         "pt_eigenvalues": {name: [float(v) for v in eigs] for name, eigs in spectra.items()},
     }
     report.update(_oracle_block(spectra, tol))
@@ -378,18 +425,25 @@ def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: dict, kmax: int, tol: float):
-    """Build (columns, evaluate, boundary floors) for one family sweep from one table of
-    column groups, which declares each column once; `criteria` maps each token to its test."""
+def _sweep_evaluator(
+    family: Family, fixed: dict[str, float], criteria: dict, kmax: int, tol: float, grid
+):
+    """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
+    table of column groups, which declares each column once; `criteria` maps each token to its
+    test.  The grid's rows are computed here from one record of all its states; any other
+    value gets a one-state record, built once."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
-                    lambda point: point.criteria_moments()[0].values, floor=None),
-        *(ColumnGroup((f"{t}_margin",), lambda point, test=test: (test(point.criteria_moments()[0], tol).margin,))
+                    lambda points: [mv.values for mv in points.criteria_moments()[0]], floor=None),
+        *(ColumnGroup((f"{t}_margin",),
+                      lambda points, test=test: [(test(mv, tol).margin,)
+                                                 for mv in points.criteria_moments()[0]])
           for t, test in criteria.items()),
         ColumnGroup(("negativity_A",),
-                    lambda point: (negativity_from_spectrum(point.spectrum(0), tol),), floor=None),
-        ColumnGroup(("pt_min_eig_A",), lambda point: (float(point.spectrum(0)[0]),)),
+                    lambda points: [(negativity_from_spectrum(eigs, tol),) for eigs in points.spectrum(0)],
+                    floor=None),
+        ColumnGroup(("pt_min_eig_A",), lambda points: points.spectrum(0)[:, :1].tolist()),
         *family.minor_columns,
     ]
     group_of = {name: group for group in groups for name in group.names}
@@ -397,19 +451,32 @@ def _sweep_evaluator(family: Family, fixed: dict[str, float], criteria: dict, km
     # Columns whose zero crossings get refined by bisection, each mapped to the floor it crosses.
     floors = {name: group.floor for name, group in group_of.items() if group.floor is not None}
 
+    def fill(rows: list[dict[str, float]], points: _Points, wanted) -> None:
+        for group in wanted:
+            for row, computed in zip(rows, group.compute(points)):
+                row.update(zip(group.names, computed))
+
+    values = [float(x) for x in grid]
+    rows = [{param: x} for x in values]
+    if rows:
+        matrices = build_family_stack(family.name, {**fixed, param: np.array(values)})
+        fill(rows, _Points(matrices, (2,) * family.factors, kmax), groups)
+    grid_rows = dict(zip(values, rows))
+
     @functools.cache
-    def point(value: float) -> tuple[_Point, dict[str, float]]:
-        """The record of the state at one parameter value, and the row of columns computed so
+    def point(value: float) -> tuple[_Points, dict[str, float]]:
+        """The record of the state at one off-grid value, and the row of columns computed so
         far: each distinct value is built, validated and diagonalised once per sweep."""
         state = build_family_state(family.name, {**fixed, param: value})
-        return _Point(state, kmax), {param: value}
+        return _Points.of(state, kmax), {param: value}
 
     def evaluate(value: float, only: str | None = None) -> dict[str, float]:
         """The row at one parameter value; with `only`, just that column."""
-        record, row = point(value)
-        for group in groups if only is None else (group_of[only],):
-            if group.names[0] not in row:
-                row.update(zip(group.names, group.compute(record)))
+        row = grid_rows.get(value)
+        if row is None:
+            record, row = point(value)
+            wanted = groups if only is None else (group_of[only],)
+            fill([row], record, [group for group in wanted if group.names[0] not in row])
         return {c: row[c] for c in columns} if only is None else {only: row[only]}
 
     return columns, evaluate, floors
@@ -427,11 +494,14 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate a family over a parameter grid and locate criterion boundaries.
 
-    Grid points are evaluated in order; sign changes of every margin, minor,
-    and oracle column are refined by bisection to 1e-6 in the parameter.
-    Bisection evaluates only the column it refines, not the whole row.  A
-    column counts as negative where value - floor < 0.0, on the grid and in
-    the bisection alike.
+    The grid's states are built, validated, partially transposed and
+    diagonalised as one stack, and their minors enumerated in blocks of
+    `minors.MINOR_BLOCK` states; sign changes of every margin, minor, and
+    oracle column are refined by bisection to 1e-6 in the parameter.
+    Bisection evaluates only the column it refines, not the whole row: at a
+    grid endpoint it reads the grid row, and at a midpoint it builds a
+    one-state record.  A column counts as negative where value - floor < 0.0,
+    on the grid and in the bisection alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:
@@ -449,8 +519,9 @@ def run_sweep(
         raise ValidationError(f"sweep grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
     linalg.check_tolerance(tol)
     kmax = resolve_kmax(record.factors, kmax)
-    columns, evaluate, floors = _sweep_evaluator(record, fixed, resolve_criteria(criteria, kmax), kmax, tol)
+    criteria = resolve_criteria(criteria, kmax)
     grid = np.linspace(lo, hi, count)
+    columns, evaluate, floors = _sweep_evaluator(record, fixed, criteria, kmax, tol, grid)
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]
 

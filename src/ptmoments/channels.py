@@ -38,13 +38,7 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if any(op.shape[0] != dim for op in ops):
             raise ValidationError("all Kraus operators must share one dimension")
-        total = sum(op.conj().T @ op for op in ops)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > COMPLETENESS_ATOL:
-            raise ValidationError(
-                f"Kraus operators are not trace preserving: "
-                f"|sum K^dag K - I| = {defect:.3e}"
-            )
+        _check_trace_preserving(ops)
         for op in ops:
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
@@ -52,6 +46,30 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
+
+
+def _check_trace_preserving(ops: tuple[np.ndarray, ...]) -> None:
+    """Reject Kraus operators, or stacks (..., d, d) of them, one channel per stack entry,
+    unless sum K^dag K equals the identity within 1e-11 for each channel."""
+    total = sum(op.conj().swapaxes(-1, -2) @ op for op in ops)
+    defects = np.abs(total - np.eye(ops[0].shape[-1])).max(axis=(-2, -1))
+    failing = defects > COMPLETENESS_ATOL
+    if failing.any():
+        raise ValidationError(
+            f"Kraus operators are not trace preserving: "
+            f"|sum K^dag K - I| = {defects.flat[failing.argmax()]:.3e}"
+        )
+
+
+def _amplitude_damping_operators(gamma) -> tuple[np.ndarray, np.ndarray]:
+    """K0 and K1 of amplitude damping, each (2, 2), or stacks (n, 2, 2) for an array of gammas."""
+    gamma = _check_unit_interval("gamma", gamma)
+    k0 = np.zeros(np.shape(gamma) + (2, 2), dtype=complex)
+    k1 = np.zeros_like(k0)
+    k0[..., 0, 0] = 1.0
+    k0[..., 1, 1] = np.sqrt(1.0 - gamma)
+    k1[..., 0, 1] = np.sqrt(gamma)
+    return k0, k1
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -62,10 +80,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
         K0 = [[1, 0], [0, sqrt(1-gamma)]]
         K1 = [[0, sqrt(gamma)], [0, 0]]
     """
-    gamma = _check_unit_interval("gamma", gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((k0, k1))
+    return KrausChannel(_amplitude_damping_operators(gamma))
 
 
 def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChannel:
@@ -113,27 +128,44 @@ def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChan
     return KrausChannel(operators)
 
 
-def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -> DensityMatrix:
-    """Apply a channel to one tensor factor: sum_i (I x K_i x I) rho (...)^dag."""
+def _kraus_sum(state: DensityMatrix, operators, subsystem: int) -> np.ndarray:
+    """sum_i (I x K_i x I) rho (...)^dag, unvalidated, for Kraus operators (d, d) or stacks
+    (n, d, d) of them, giving (dim, dim) or one output per stack entry, (n, dim, dim)."""
     if not 0 <= subsystem < state.num_factors:
         raise ValidationError(
             f"subsystem index {subsystem} out of range for {state.num_factors} factors"
         )
-    if channel.dim != state.dims[subsystem]:
+    d = operators[0].shape[-1]
+    if d != state.dims[subsystem]:
         raise ValidationError(
-            f"channel dimension {channel.dim} does not match factor dimension "
+            f"channel dimension {d} does not match factor dimension "
             f"{state.dims[subsystem]}"
         )
     # Row and column indices split as (before, d, after) around the factor: K acts on the
     # middle axis of the rows, then conj(K) on the middle axis of the columns.
-    dim, d = state.dim, channel.dim
+    dim = state.dim
     before = math.prod(state.dims[:subsystem])
     after = dim // (before * d)
-    out = np.zeros_like(state.matrix)
-    for op in channel.operators:
+    batch = operators[0].shape[:-2]
+    out = np.zeros(batch + (dim, dim), dtype=complex)
+    for op in operators:
+        op = op[..., None, :, :]
         left = op @ state.matrix.reshape(before, d, after * dim)
-        out = out + (op.conj() @ left.reshape(dim * before, d, after)).reshape(dim, dim)
-    return DensityMatrix(out, state.dims)
+        out = out + (op.conj() @ left.reshape(*batch, dim * before, d, after)).reshape(out.shape)
+    return out
+
+
+def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -> DensityMatrix:
+    """Apply a channel to one tensor factor: sum_i (I x K_i x I) rho (...)^dag."""
+    return DensityMatrix(_kraus_sum(state, channel.operators, subsystem), state.dims)
+
+
+def amplitude_damped_matrices(state: DensityMatrix, gammas, subsystem: int) -> np.ndarray:
+    """Unvalidated stack (n, dim, dim) of `state` after amplitude damping of one factor, one
+    per gamma: `apply_channel`'s arithmetic on a stack of Kraus pairs."""
+    operators = _amplitude_damping_operators(gammas)
+    _check_trace_preserving(operators)
+    return _kraus_sum(state, operators, subsystem)
 
 
 def _x_closed_form_concurrence(m: np.ndarray) -> float:
@@ -156,7 +188,11 @@ def concurrence(state: DensityMatrix) -> float:
     """
     if state.dims != (2, 2):
         raise ValidationError(f"concurrence needs a two-qubit state, got dims {state.dims}")
-    m = state.matrix
+    return matrix_concurrence(state.matrix)
+
+
+def matrix_concurrence(m: np.ndarray) -> float:
+    """`concurrence` of a 4x4 matrix that passed the `DensityMatrix` invariant."""
     eigs, vecs = np.linalg.eigh(m)
     sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     roots = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)

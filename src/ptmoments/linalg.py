@@ -17,10 +17,10 @@ HERMITIAN_ATOL = 1e-12
 DEFAULT_PSD_TOL = 1e-10
 
 
-def as_square_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex ndarray."""
+def as_square_matrix(matrix, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex ndarray, or with `stack` to a stack (..., d, d) of them."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -34,14 +34,17 @@ def hermiticity_defect(matrix) -> tuple[float, tuple[int, int]]:
 
 
 def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return the matrix, or raise naming the worst-violating entry pair.
+    """Return the matrix or stack (..., d, d), or raise naming the worst-violating entry
+    pair of the first matrix that fails.
 
     A NaN defect passes, as it compares false; `hermitian_eigenvalues` rejects it."""
-    m = as_square_matrix(matrix)
-    if np.abs(m - m.conj().T).max() <= atol:
+    m = as_square_matrix(matrix, stack=True)
+    dev = np.abs(m - m.conj().swapaxes(-1, -2))
+    if dev.max() <= atol:
         return m
-    defect, (i, j) = hermiticity_defect(m)
-    if defect > atol:
+    failing = dev.reshape(-1, *dev.shape[-2:]).max(axis=(-2, -1)) > atol
+    if failing.any():
+        defect, (i, j) = hermiticity_defect(m.reshape(failing.shape + m.shape[-2:])[failing.argmax()])
         raise ValidationError(
             f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = "
             f"{defect:.3e} exceeds {atol:.1e}"
@@ -50,10 +53,11 @@ def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 def check_finite(m: np.ndarray) -> None:
-    """Reject a matrix with a NaN or infinite entry, naming the first one in row-major order."""
+    """Reject a matrix or stack with a NaN or infinite entry, naming the first one of the
+    first failing matrix in row-major order."""
     if not np.isfinite(m).all():
-        i, j = np.argwhere(~np.isfinite(m))[0]
-        raise ValidationError(f"matrix entry m[{i},{j}] = {m[i, j]} is not finite")
+        *k, i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(f"matrix entry m[{i},{j}] = {m[(*k, i, j)]} is not finite")
 
 
 def check_tolerance(tol: float) -> None:
@@ -62,14 +66,16 @@ def check_tolerance(tol: float) -> None:
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
 
 
-def relative_tolerance(eigs, tol: float) -> float:
-    """`tol` scaled by max(1, max |eig|), the rule of every positivity decision.
+def relative_tolerance(eigs, tol: float):
+    """`tol` scaled by max(1, max |eig|), the rule of every positivity decision: a float, or for
+    a stack (..., d) of spectra an array of one tolerance per spectrum.
 
     The order-3 moment criteria use `tol` as is, which is the same: a partial transpose has unit
     trace and Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1.
     """
     check_tolerance(tol)
-    return tol * max(1.0, float(np.abs(eigs).max()))
+    scale = np.abs(eigs).max(axis=-1)
+    return tol * (np.maximum(1.0, scale) if scale.ndim else max(1.0, float(scale)))
 
 
 def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
@@ -78,17 +84,22 @@ def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending; of a stack (..., d, d), shape (..., d).
 
     `eigvalsh` reads one triangle only, so a non-finite entry in the other would go unseen;
-    every entry must be finite."""
+    every entry must be finite.  Each matrix's eigenvalue sum must match its trace."""
     m = assert_hermitian(matrix)
     check_finite(m)
     eigs = np.linalg.eigvalsh(m)
-    trace = float(m.trace().real)
-    if abs(float(eigs.sum()) - trace) > 1e-10 * max(1.0, abs(trace)):
+    sums, traces = eigs.sum(-1), m.trace(0, -2, -1).real
+    residuals = np.abs(sums - traces)
+    if residuals.max() <= 1e-10:  # within every bound, as each is at least 1e-10
+        return eigs
+    failing = residuals > 1e-10 * np.maximum(1.0, np.abs(traces))
+    if failing.any():
+        k = failing.argmax()
         raise NumericsError(
-            f"eigenvalue sum {eigs.sum():.15g} disagrees with trace {trace:.15g}"
+            f"eigenvalue sum {sums.flat[k]:.15g} disagrees with trace {traces.flat[k]:.15g}"
         )
     return eigs
 

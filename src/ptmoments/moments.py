@@ -96,10 +96,15 @@ def resolve_kmax(num_factors: int, kmax: int | None) -> int:
     return kmax
 
 
+def power_sums(eigs: np.ndarray, kmax: int) -> np.ndarray:
+    """p_1..p_kmax, the power sums of a spectrum (d,), or of each spectrum of a stack (n, d)
+    as shape (n, kmax)."""
+    return np.array([(eigs ** k).sum(-1) for k in range(1, kmax + 1)]).T
+
+
 def moments_from_spectrum(eigs: np.ndarray, kmax: int, dim: int) -> MomentVector:
     """Moments p_1..p_kmax as power sums of a partial transpose's spectrum."""
-    values = tuple(float((eigs ** k).sum()) for k in range(1, kmax + 1))
-    return MomentVector(values=values, dim=dim)
+    return MomentVector(values=tuple(power_sums(eigs, kmax).tolist()), dim=dim)
 
 
 def pt_moments(state: DensityMatrix, subsystem: int, kmax: int | None = None) -> MomentVector:
@@ -203,13 +208,11 @@ def resolve_criteria(selection: str | None, kmax: int) -> dict:
     return tests
 
 
-def geometric_mean_moments(vectors) -> MomentVector:
-    """Entrywise geometric mean of three moment vectors of one state, using
-    the signed real cube root so odd moments stay real."""
-    values = tuple(
-        float(np.cbrt(np.prod([mv.values[i] for mv in vectors]))) for i in range(vectors[0].kmax)
-    )
-    return MomentVector(values=values, dim=vectors[0].dim)
+def geometric_mean_moments(moments: np.ndarray) -> np.ndarray:
+    """Entrywise geometric mean over the first axis, the three cuts of one state (or of each
+    state of a stack), of their moments (3, ..., kmax), using the signed real cube root so odd
+    moments stay real."""
+    return np.cbrt(np.prod(moments, axis=0))
 
 
 def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentVector:
@@ -224,7 +227,8 @@ def tripartite_moments(state: DensityMatrix, kmax: int | None = None) -> MomentV
             f"tripartite moments need a 3-factor state, got {state.num_factors} factors"
         )
     kmax = resolve_kmax(3, kmax)
-    return geometric_mean_moments([pt_moments(state, s, kmax) for s in range(3)])
+    cuts = np.array([pt_moments(state, s, kmax).values for s in range(3)])
+    return MomentVector(tuple(geometric_mean_moments(cuts).tolist()), state.dim)
 
 
 def moments_from_minor_sums(e, kmax: int, dim: int) -> MomentVector:

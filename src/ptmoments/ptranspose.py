@@ -12,7 +12,8 @@ from .states import DensityMatrix
 
 
 def transpose_subsystem(matrix, dims, subsystem: int) -> np.ndarray:
-    """Transpose the bra/ket indices of one factor by pure index permutation.
+    """Transpose the bra/ket indices of one factor of a matrix, or of each matrix in a
+    stack (..., d, d), by pure index permutation.
 
     No arithmetic is performed, so the operation is exact and involutive.
     """
@@ -24,16 +25,18 @@ def transpose_subsystem(matrix, dims, subsystem: int) -> np.ndarray:
         raise ValidationError(
             f"subsystem index {subsystem} out of range for {n} factors"
         )
-    m = linalg.as_square_matrix(matrix)
+    m = linalg.as_square_matrix(matrix, stack=True)
     d = math.prod(dims)
-    if m.shape[0] != d:
+    if m.shape[-1] != d:
         raise ValidationError(
-            f"matrix dimension {m.shape[0]} does not match product of dims {dims}"
+            f"matrix dimension {m.shape[-1]} does not match product of dims {dims}"
         )
-    tensor = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[subsystem], axes[n + subsystem] = axes[n + subsystem], axes[subsystem]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(d, d))
+    batch = m.shape[:-2]
+    tensor = m.reshape(batch + dims + dims)
+    axes = list(range(tensor.ndim))
+    row, col = len(batch) + subsystem, len(batch) + n + subsystem
+    axes[row], axes[col] = axes[col], axes[row]
+    return np.ascontiguousarray(tensor.transpose(axes).reshape(m.shape))
 
 
 def partial_transpose(state: DensityMatrix, subsystem: int) -> np.ndarray:

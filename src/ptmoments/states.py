@@ -9,7 +9,7 @@ principal minors are these indices plus one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,17 +19,37 @@ from .errors import ValidationError
 TRACE_ATOL = 1e-12
 
 
+def density_matrix_spectra(matrices: np.ndarray) -> np.ndarray:
+    """The density-matrix invariant over a stack (n, d, d), checked on each matrix alone: finite
+    entries, unit trace (1e-12), Hermiticity (1e-12), an eigenvalue sum matching the trace, and
+    positive semidefiniteness (relative 1e-10).  Returns the ascending spectra, shape (n, d); the
+    first failing matrix raises what it would raise alone."""
+    linalg.check_finite(matrices)
+    traces = matrices.trace(0, -2, -1)
+    defects = np.abs(traces - 1.0)
+    if defects.max() > TRACE_ATOL:
+        raise ValidationError(f"trace must be 1, got {complex(traces[defects.argmax()]):.15g}")
+    eigs = linalg.hermitian_eigenvalues(matrices)
+    psd = eigs[:, 0] >= -linalg.relative_tolerance(eigs, linalg.DEFAULT_PSD_TOL)
+    if not psd.all():
+        raise ValidationError(
+            f"matrix is not positive semidefinite: min eigenvalue {eigs[psd.argmin(), 0]:.3e}"
+        )
+    return eigs
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix with its tensor-factor dimensions.
 
-    Invariants enforced at construction: finite entries, unit trace
-    (1e-12), Hermiticity (1e-12), positive semidefiniteness (relative 1e-10),
-    and the product of `dims` matching the matrix dimension.
+    Invariants enforced at construction: those of `density_matrix_spectra`, and the product of
+    `dims` matching the matrix dimension.  The ascending spectrum that validation computes is
+    kept as `spectrum`.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = linalg.as_square_matrix(self.matrix).copy()
@@ -40,18 +60,12 @@ class DensityMatrix:
             raise ValidationError(
                 f"product of dims {dims} does not match matrix dimension {m.shape[0]}"
             )
-        linalg.check_finite(m)
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace must be 1, got {trace:.15g}")
-        eigs = linalg.hermitian_eigenvalues(m)
-        if not linalg.spectrum_is_psd(eigs, linalg.DEFAULT_PSD_TOL):
-            raise ValidationError(
-                f"matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
-            )
-        m.setflags(write=False)
+        spectrum = density_matrix_spectra(m[None])[0]
+        for array in (m, spectrum):
+            array.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -112,11 +126,13 @@ class XStateParams:
         return (self.rho11, self.rho22, self.rho33, self.rho44)
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    return value
+def _check_unit_interval(name: str, value):
+    """`value` as a float, or an array of values as a float array, once each lies in [0, 1]."""
+    values = np.asarray(value, dtype=float)
+    outside = ~((0.0 <= values) & (values <= 1.0))
+    if outside.any():
+        raise ValidationError(f"{name} must lie in [0, 1], got {float(values[outside][0])}")
+    return values if values.ndim else float(values)
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -137,22 +153,40 @@ def x_state(params: XStateParams) -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
+def _white_noise_mixtures(name: str, ket: np.ndarray, values) -> np.ndarray:
+    """Unvalidated stack (n, 8, 8) of v*I/8 + (1-v)|ket><ket|, one per value v."""
+    v = _check_unit_interval(name, values)[:, None, None]
+    return v * np.eye(8, dtype=complex) / 8.0 + (1.0 - v) * np.outer(ket, ket.conj())
+
+
+def _ket(amplitude: float, *indices: int) -> np.ndarray:
+    ket = np.zeros(8, dtype=complex)
+    ket[list(indices)] = amplitude
+    return ket
+
+
+_GHZ = _ket(1.0 / np.sqrt(2.0), 0, 7)
+_W = _ket(1.0 / np.sqrt(3.0), 1, 2, 4)
+
+
+def ghz_noise_matrices(alphas) -> np.ndarray:
+    """Unvalidated stack (n, 8, 8) of ghz_white_noise(alpha), one per alpha."""
+    return _white_noise_mixtures("alpha", _GHZ, alphas)
+
+
+def w_noise_matrices(betas) -> np.ndarray:
+    """Unvalidated stack (n, 8, 8) of w_white_noise(beta), one per beta."""
+    return _white_noise_mixtures("beta", _W, betas)
+
+
 def ghz_white_noise(alpha: float) -> DensityMatrix:
     """Mixture alpha*I/8 + (1-alpha) |GHZ><GHZ| with |GHZ> = (|000>+|111>)/sqrt(2)."""
-    alpha = _check_unit_interval("alpha", alpha)
-    ket = np.zeros(8, dtype=complex)
-    ket[0] = ket[7] = 1.0 / np.sqrt(2.0)
-    m = alpha * np.eye(8, dtype=complex) / 8.0 + (1.0 - alpha) * np.outer(ket, ket.conj())
-    return DensityMatrix(m, (2, 2, 2))
+    return DensityMatrix(ghz_noise_matrices([alpha])[0], (2, 2, 2))
 
 
 def w_white_noise(beta: float) -> DensityMatrix:
     """Mixture beta*I/8 + (1-beta) |W><W| with |W> = (|001>+|010>+|100>)/sqrt(3)."""
-    beta = _check_unit_interval("beta", beta)
-    ket = np.zeros(8, dtype=complex)
-    ket[1] = ket[2] = ket[4] = 1.0 / np.sqrt(3.0)
-    m = beta * np.eye(8, dtype=complex) / 8.0 + (1.0 - beta) * np.outer(ket, ket.conj())
-    return DensityMatrix(m, (2, 2, 2))
+    return DensityMatrix(w_noise_matrices([beta])[0], (2, 2, 2))
 
 
 def knoll_state(omega: float, eta: float) -> DensityMatrix:

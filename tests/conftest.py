@@ -56,25 +56,15 @@ def batched_ginibre(rng: np.random.Generator, count: int, dim: int) -> np.ndarra
     return rho / tr[:, None, None]
 
 
-def batched_partial_transpose_first(rho: np.ndarray, dims) -> np.ndarray:
-    """Partial transpose over the first factor for a (count, d, d) stack."""
-    dims = tuple(dims)
-    n = len(dims)
-    count, d = rho.shape[0], rho.shape[1]
-    tensor = rho.reshape((count,) + dims + dims)
-    axes = [0] + list(range(1, 2 * n + 1))
-    axes[1], axes[1 + n] = axes[1 + n], axes[1]
-    return tensor.transpose(axes).reshape(count, d, d)
-
-
 def sweep_evaluator(name: str):
     """(columns, evaluate, floors) of a fresh sweep of family `name` at its
-    SAMPLE_PARAMS, with the default criteria, kmax and tolerance."""
+    SAMPLE_PARAMS, with the default criteria, kmax and tolerance, and no grid:
+    every value gets a one-state record."""
     family = analysis.FAMILY_BY_NAME[name]
     fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
     kmax = resolve_kmax(family.factors, None)
     criteria = resolve_criteria(None, kmax)
-    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10)
+    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10, ())
 
 
 def record_evaluations(monkeypatch) -> list:

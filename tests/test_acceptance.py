@@ -10,7 +10,6 @@ import time
 import numpy as np
 from conftest import (
     batched_ginibre,
-    batched_partial_transpose_first,
     random_hermitian,
     random_psd,
     random_separable_state,
@@ -234,7 +233,7 @@ def test_criterion_5c_minor_identities():
 def test_criterion_5d_at_most_one_negative_eigenvalue():
     rng = np.random.default_rng(55)
     stack = batched_ginibre(rng, 10_000, 4)
-    eigs = np.linalg.eigvalsh(batched_partial_transpose_first(stack, (2, 2)))
+    eigs = np.linalg.eigvalsh(transpose_subsystem(stack, (2, 2), 0))
     scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
     counts = (eigs < -1e-12 * scale[:, None]).sum(axis=1)
     _report(

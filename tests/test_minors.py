@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import batched_ginibre, batched_partial_transpose_first, random_hermitian, random_psd
+from conftest import batched_ginibre, random_hermitian, random_psd
 from oracles import (
     psd_via_minors,
     three_qubit_full_minor_identity_check,
@@ -25,6 +25,7 @@ from ptmoments import (
     random_three_qubit_x_state,
     random_x_state,
     three_qubit_x_minors,
+    transpose_subsystem,
     w_white_noise,
     x_state,
     x_state_key_minors,
@@ -115,7 +116,7 @@ class TestEnumeration:
     def test_batched_matches_scalar_reference_on_random_states(self, dims):
         dim = int(np.prod(dims))
         rng = np.random.default_rng(2305 + dim)
-        stack = batched_partial_transpose_first(batched_ginibre(rng, 100, dim), dims)
+        stack = transpose_subsystem(batched_ginibre(rng, 100, dim), dims, 0)
         for pt in stack:
             assert_matches_scalar_reference(pt)
 
@@ -312,23 +313,25 @@ def test_x_pair_minors_equal_the_principal_minors_at_the_pairs():
 
 
 def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
-    # the spectrum and both X-form pair minors read one matrix
-    from ptmoments import analysis, minors
+    # the spectrum and both X-form pair minors read one partial transpose, whether
+    # the row comes from a one-state record or from the grid's stack
+    from ptmoments import analysis
     from ptmoments.moments import resolve_criteria
 
     subsystems = []
-    real = analysis.partial_transpose
+    real = analysis.transpose_subsystem
 
-    def counting(state, subsystem):
+    def counting(matrix, dims, subsystem):
         subsystems.append(subsystem)
-        return real(state, subsystem)
+        return real(matrix, dims, subsystem)
 
-    monkeypatch.setattr(analysis, "partial_transpose", counting)
-    monkeypatch.setattr(minors, "partial_transpose", counting)
+    monkeypatch.setattr(analysis, "transpose_subsystem", counting)
     family = analysis.FAMILY_BY_NAME["knoll"]
-    columns, evaluate, _ = analysis._sweep_evaluator(
-        family, {"omega": 0.12, "eta": 0.21}, resolve_criteria(None, 6), 6, 1e-10
-    )
-    row = evaluate(0.4)
-    assert subsystems == [0]
+    for grid in ((), (0.0, 0.4, 1.0)):
+        subsystems.clear()
+        columns, evaluate, _ = analysis._sweep_evaluator(
+            family, {"omega": 0.12, "eta": 0.21}, resolve_criteria(None, 6), 6, 1e-10, grid
+        )
+        row = evaluate(0.4)
+        assert subsystems == [0]
     assert row["minor_14"] > 0 > row["minor_23"]

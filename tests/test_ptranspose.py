@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import batched_ginibre, batched_partial_transpose_first
+from conftest import batched_ginibre
 
 from ptmoments import (
     ValidationError,
@@ -71,7 +71,7 @@ def test_trace_and_hermiticity_preserved_exactly():
 def test_at_most_one_negative_eigenvalue_two_qubits():
     rng = np.random.default_rng(21)
     stack = batched_ginibre(rng, 2000, 4)
-    pts = batched_partial_transpose_first(stack, (2, 2))
+    pts = transpose_subsystem(stack, (2, 2), 0)
     eigs = np.linalg.eigvalsh(pts)
     scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
     negatives = (eigs < -1e-12 * scale[:, None]).sum(axis=1)
@@ -108,3 +108,15 @@ def test_non_positive_dims_rejected(matrix, dims):
     # the product matches the matrix, so numpy's reshape used to raise its own ValueError
     with pytest.raises(ValidationError, match=re.escape(f"subsystem dimensions must be positive, got {dims}")):
         transpose_subsystem(matrix, dims, 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 2), (2, 2, 2)])
+def test_stack_transpose_equals_each_slice_transpose(dims):
+    dim = int(np.prod(dims))
+    stack = batched_ginibre(np.random.default_rng(dim), 7, dim)
+    for s in range(len(dims)):
+        pts = transpose_subsystem(stack, dims, s)
+        assert pts.shape == stack.shape
+        for matrix, pt in zip(stack, pts):
+            assert np.array_equal(pt, transpose_subsystem(matrix, dims, s))
+        assert np.array_equal(transpose_subsystem(pts, dims, s), stack)

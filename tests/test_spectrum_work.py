@@ -27,14 +27,14 @@ def eig_inputs(monkeypatch):
 
 
 # 3 PT spectra, plus the Hankel B2 of p5ppt (2 and 1 for two qubits); the
-# oracle adds the state's own spectrum instead.
+# oracle reads the state's own spectrum from its validation instead.
 @pytest.mark.parametrize(
     "make,analyze_eigs,oracle_eigs",
     [
-        (lambda: ghz_white_noise(0.5), 4, 4),
-        (lambda: random_density_matrix(8, 1), 4, 4),
-        (bell_phi_plus, 3, 3),
-        (lambda: random_density_matrix(4, 1), 3, 3),
+        (lambda: ghz_white_noise(0.5), 4, 3),
+        (lambda: random_density_matrix(8, 1), 4, 3),
+        (bell_phi_plus, 3, 2),
+        (lambda: random_density_matrix(4, 1), 3, 2),
     ],
 )
 def test_report_eigendecompositions(eig_inputs, make, analyze_eigs, oracle_eigs):

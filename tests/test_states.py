@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from conftest import batched_ginibre
 
 from ptmoments import (
     DensityMatrix,
+    NumericsError,
     ValidationError,
     XStateParams,
     amplitude_damping,
     apply_channel,
     bell_phi_plus,
     ghz_white_noise,
+    hermitian_eigenvalues,
     knoll_state,
     random_density_matrix,
     random_three_qubit_x_state,
@@ -16,6 +19,7 @@ from ptmoments import (
     w_white_noise,
     x_state,
 )
+from ptmoments.states import density_matrix_spectra
 
 
 def _swap_qubits(matrix: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -191,3 +195,42 @@ class TestDensityMatrixValidation:
         state = bell_phi_plus()
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 9.0
+
+
+def _corrupt(matrix: np.ndarray, flaw: str) -> np.ndarray:
+    m = matrix.copy()
+    if flaw == "nan":
+        m[1, 2] = np.nan
+    elif flaw == "hermitian":
+        m[0, 3] += 1e-9  # its conjugate partner left as it is
+    elif flaw == "trace":
+        m *= 1.1
+    else:  # unit trace and Hermitian, with a -1e-3 eigenvalue
+        m = np.diag([0.4, 0.3, 0.301, -0.001]).astype(complex)
+    return m
+
+
+def _message(call, *args):
+    try:
+        return call(*args)
+    except (ValidationError, NumericsError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("flaw", ["nan", "hermitian", "trace", "negative"])
+@pytest.mark.parametrize("position", range(5))
+def test_stack_checks_are_as_strict_as_one_matrix_checks(flaw, position):
+    # one bad slice in a (5, 4, 4) stack of valid states raises what it raises alone
+    stack = batched_ginibre(np.random.default_rng(position), 5, 4)
+    stack[position] = _corrupt(stack[position], flaw)
+    alone = _message(DensityMatrix, stack[position], (2, 2))
+    assert alone.startswith("ValidationError: ")
+    assert _message(density_matrix_spectra, stack) == alone
+    # hermitian_eigenvalues checks entries and Hermiticity only: it raises on the
+    # first two flaws, and otherwise returns each slice's spectrum exactly
+    spectra = _message(hermitian_eigenvalues, stack)
+    if flaw in ("nan", "hermitian"):
+        assert spectra == _message(hermitian_eigenvalues, stack[position])
+    else:
+        for matrix, eigs in zip(stack, spectra):
+            assert np.array_equal(eigs, hermitian_eigenvalues(matrix))

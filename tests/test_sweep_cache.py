@@ -1,15 +1,19 @@
-"""The per-sweep point cache: each distinct parameter value is built once, and
-what the cache returns equals what a fresh evaluator computes, exactly.
-Deterministic counts only; no wall-clock assertions."""
+"""The sweep grid's stack and the per-sweep point cache: the grid is built as one
+stack, each distinct off-grid value once, and what either returns equals what a
+fresh one-state evaluation computes, exactly.  Deterministic counts only; no
+wall-clock assertions."""
 
 from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import SAMPLE_PARAMS, record_evaluations, sweep_evaluator
 
-from ptmoments import analysis
+from ptmoments import NumericsError, analysis
 from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
 from ptmoments.moments import resolve_criteria, resolve_kmax
 
@@ -38,23 +42,25 @@ def test_fresh_column_evaluation_matches_fresh_full_row(name):
 
 @pytest.fixture
 def traced_sweep(monkeypatch):
-    """run_sweep, recording every value passed to `evaluate` and every
-    `build_family_state` call."""
+    """run_sweep, recording every value passed to `evaluate`, every
+    `build_family_state` call and every `build_family_stack` call."""
     evaluations = record_evaluations(monkeypatch)
-    builds = []
-    real_build = analysis.build_family_state
+    builds, stacks = [], []
+    for name, calls in (("build_family_state", builds), ("build_family_stack", stacks)):
+        real = getattr(analysis, name)
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return real_build(*args, **kwargs)
+        def counting(*args, calls=calls, real=real):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(analysis, "build_family_state", counting_build)
+        monkeypatch.setattr(analysis, name, counting)
 
     def sweep(family, fixed):
         evaluations.clear()
         builds.clear()
+        stacks.clear()
         result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
-        return result, [value for value, _, _ in evaluations], builds
+        return result, [value for value, _, _ in evaluations], builds, stacks
 
     return sweep
 
@@ -62,9 +68,15 @@ def traced_sweep(monkeypatch):
 @pytest.mark.parametrize("label", GOLDEN_SWEEPS)
 def test_each_distinct_value_is_built_once(traced_sweep, label):
     family, fixed = GOLDEN_SWEEPS[label]
-    _, values, builds = traced_sweep(family, fixed)
-    # bisection revisits its grid endpoints, so values repeat
-    assert len(builds) == len(set(values)) < len(values)
+    result, values, builds, stacks = traced_sweep(family, fixed)
+    grid = [row[0] for row in result.rows]
+    param = FAMILY_BY_NAME[family].sweep_param
+    # one stack build for the whole grid, one state build per distinct off-grid
+    # value; bisection revisits its grid endpoints and reads their grid rows
+    assert len(stacks) == 1 and list(stacks[0][1][param]) == grid
+    off_grid = set(values) - set(grid)
+    assert sorted(params[param] for _, params in builds) == sorted(off_grid)
+    assert len(off_grid) < len(values) - len(grid)
 
 
 def test_knoll_base_state_is_built_once_per_sweep(monkeypatch):
@@ -90,8 +102,47 @@ def test_sweep_rows_equal_fresh_evaluations(label):
     kmax = resolve_kmax(record.factors, None)
     criteria = resolve_criteria(None, kmax)
     for row in result.rows:
-        _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, kmax, 1e-10)
+        _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, kmax, 1e-10, ())
         assert [fresh(row[0])[c] for c in result.columns] == row
+
+
+FIXED_PARAMS = {  # a strategy for the fixed parameters of each sweepable family
+    "ghz-noise": st.just({}),
+    "w-noise": st.just({}),
+    "knoll": st.fixed_dictionaries({"omega": st.floats(0.0, 1.0), "eta": st.floats(0.0, 1.0)}),
+}
+HIGH_ORDER_CRITERIA = "p3ppt,p3oppt,p5ppt,p7ppt,p9ppt"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sweepable_families()),
+    data=st.data(),
+    ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+    steps=st.integers(2, 40),
+)
+def test_stacked_grid_rows_equal_one_state_evaluations(family, data, ends, steps):
+    # the grid's stack and a fresh one-state record compute every column bit for bit
+    # alike, and a failing cross-check (concurrence's, on some knoll states) fails alike
+    fixed = data.draw(FIXED_PARAMS[family])
+    record = FAMILY_BY_NAME[family]
+    criteria = resolve_criteria(HIGH_ORDER_CRITERIA, 9)
+    grid = np.linspace(*ends, steps)
+
+    def one_state(x):
+        _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, 9, 1e-10, ())
+        try:
+            return list(fresh(x).values())
+        except NumericsError as exc:
+            return str(exc)
+
+    expected = [one_state(float(x)) for x in grid]
+    try:
+        _, stacked, _ = analysis._sweep_evaluator(record, fixed, criteria, 9, 1e-10, grid)
+    except NumericsError as exc:
+        assert str(exc) in expected
+        return
+    assert [list(stacked(float(x)).values()) for x in grid] == expected
 
 
 @pytest.mark.parametrize("name", sweepable_families())

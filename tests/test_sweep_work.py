@@ -2,46 +2,59 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from conftest import record_evaluations
 
-from ptmoments import analysis, minors
+from ptmoments import analysis
+from ptmoments.minors import MINOR_BLOCK
 
 
 def test_w_noise_sweep_work_counts(monkeypatch):
-    det_calls = [0]
-    dets_per_enumeration = []
+    shapes = {"det": [], "eigvalsh": []}
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
 
-    real_det = np.linalg.det
+        def counting(a, *args, real=real, seen=seen, **kwargs):
+            seen.append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-    def counting_det(*args, **kwargs):
-        det_calls[0] += 1
-        return real_det(*args, **kwargs)
-
-    real_enumerate = minors.all_principal_minors
-
-    def counting_enumerate(matrix):
-        before = det_calls[0]
-        report = real_enumerate(matrix)
-        dets_per_enumeration.append(det_calls[0] - before)
-        return report
-
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    # the sweep calls the enumeration through the name analysis imported
-    monkeypatch.setattr(analysis, "all_principal_minors", counting_enumerate)
-    monkeypatch.setattr(minors, "all_principal_minors", counting_enumerate)
+        monkeypatch.setattr(np.linalg, name, counting)
     evaluations = record_evaluations(monkeypatch)
 
     result = analysis.run_sweep("w-noise", {}, 0.0, 1.0, 101)
-    rows = [(only, row) for _, only, row in evaluations]
+    grid = [row[0] for row in result.rows]
+    asked: dict[float, set] = {}  # each off-grid value -> the columns bisection asked for there
+    for value, only, _ in evaluations:
+        if value not in grid:
+            assert only is not None
+            asked.setdefault(value, set()).add(only)
 
-    # one batched determinant per subset size of the 8x8 partial transpose
-    assert dets_per_enumeration and set(dets_per_enumeration) == {8}
-    # 101 grid rows plus the bisection of the minor column only; a full-row
-    # bisection would enumerate on all 181 evaluations
-    assert len(dets_per_enumeration) < 181
-    full_rows = [row for only, row in rows if only is None]
-    column_rows = [(only, row) for only, row in rows if only is not None]
+    # 101 full grid rows; bisection asks for one column per call, at grid
+    # endpoints and at midpoints
+    full_rows = [row for _, only, row in evaluations if only is None]
+    column_rows = [(only, row) for _, only, row in evaluations if only is not None]
     assert len(full_rows) == 101
     assert all(list(row) == [only] for only, row in column_rows)
     assert {only for only, _ in column_rows} == {column for column, _ in result.sign_changes}
+
+    # one batched determinant per subset size of the 8x8 partial transpose, per
+    # block of at most MINOR_BLOCK grid rows and per midpoint of the minor column
+    minor_points = sum("min_principal_minor" in columns for columns in asked.values())
+    assert minor_points > 0
+    blocks = Counter(min(MINOR_BLOCK, 101 - start) for start in range(0, 101, MINOR_BLOCK))
+    expected = Counter({rows: 8 * count for rows, count in blocks.items()})
+    expected[1] += 8 * minor_points
+    assert Counter(shape[0] for shape in shapes["det"]) == expected
+
+    # the grid: one validation and three partial-transpose spectra, each of the
+    # whole (101, 8, 8) stack, and one Hankel B2 of p5ppt per row; each midpoint:
+    # its validation, the spectra its columns read, and B2 where p5ppt is asked
+    margins = {"p3ppt_margin", "p3oppt_margin", "p5ppt_margin"}
+    one_state = sum(
+        1 + (3 if columns & margins else 1 if "pt_min_eig_A" in columns else 0)
+        for columns in asked.values()
+    )
+    hankels = 101 + sum("p5ppt_margin" in columns for columns in asked.values())
+    assert Counter(shapes["eigvalsh"]) == {(101, 8, 8): 4, (1, 8, 8): one_state, (3, 3): hankels}
