@@ -15,13 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg, minors
-from .channels import (
-    amplitude_damped_matrices,
-    amplitude_damping,
-    apply_channel,
-    concurrence,
-    matrix_concurrence,
-)
+from .channels import amplitude_damped_matrices, concurrence, matrix_concurrence
 from .errors import ValidationError
 from .minors import (
     X_PAIR_LABELS,
@@ -38,10 +32,8 @@ from .states import (
     bell_phi_plus,
     density_matrix_spectra,
     ghz_noise_matrices,
-    ghz_white_noise,
     knoll_state,
     w_noise_matrices,
-    w_white_noise,
     x_state,
 )
 
@@ -69,20 +61,16 @@ def _knoll_base(omega: float, eta: float) -> DensityMatrix:
     return knoll_state(omega, eta)
 
 
-def _knoll_base_of(params: dict) -> DensityMatrix:
+def _knoll_matrices(params: dict) -> np.ndarray:
     # -0.0 + 0.0 is 0.0: the cache takes both zeros for one key, so both must build one state.
-    return _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
-
-
-def _build_knoll(params: dict[str, float]) -> DensityMatrix:
-    state = _knoll_base_of(params)
+    base = _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
     gamma = params.get("gamma")
-    if gamma is not None:
-        state = apply_channel(state, amplitude_damping(gamma), 1)
-    return state
+    # The undamped base keeps its own matrix: damping at gamma = 0 would turn its -0.0
+    # imaginary parts into 0.0, which reports print.
+    return base.matrix if gamma is None else amplitude_damped_matrices(base, gamma, 1)
 
 
-def _build_x_state(params: dict[str, float]) -> DensityMatrix:
+def _x_state_matrix(params: dict[str, float]) -> np.ndarray:
     return x_state(
         XStateParams(
             rho11=params["r11"],
@@ -92,7 +80,7 @@ def _build_x_state(params: dict[str, float]) -> DensityMatrix:
             rho14=complex(params.get("re14", 0.0), params.get("im14", 0.0)),
             rho23=complex(params.get("re23", 0.0), params.get("im23", 0.0)),
         )
-    )
+    ).matrix
 
 
 @dataclass(frozen=True)
@@ -129,37 +117,34 @@ _QUOTED = "literature value; not reproduced by this tool"
 
 @dataclass(frozen=True)
 class Family:
-    """A named state family and its report's literature note; a sweepable family also names
-    its swept parameter, its sweep's minor columns, and `stack`, which builds the unvalidated
-    matrices (n, d, d) of `build` from parameters whose swept one is an array of n values."""
+    """A named state family, its one builder and its report's literature note; a sweepable
+    family also names its swept parameter and its sweep's minor columns.  `build` returns the
+    unvalidated matrix (d, d) when every parameter is a float, and the stack (n, d, d) of one
+    matrix per value when the swept one is an array of n values."""
 
     name: str
-    build: Callable[[dict[str, float]], DensityMatrix]
+    build: Callable[[dict], np.ndarray]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     factors: int = 2  # qubits of every state it builds
     sweep_param: str | None = None
     minor_columns: tuple[ColumnGroup, ...] = ()
     literature: dict | None = None
-    stack: Callable[[dict], np.ndarray] | None = None
 
 
 FAMILY_BY_NAME = {
     family.name: family for family in (
-        Family("bell", lambda params: bell_phi_plus()),
-        Family("ghz-noise", lambda params: ghz_white_noise(params["alpha"]), ("alpha",), factors=3,
+        Family("bell", lambda params: bell_phi_plus().matrix),
+        Family("ghz-noise", lambda params: ghz_noise_matrices(params["alpha"]), ("alpha",), factors=3,
                sweep_param="alpha", minor_columns=(X_MINORS[8],),
-               literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}},
-               stack=lambda params: ghz_noise_matrices(params["alpha"])),
-        Family("w-noise", lambda params: w_white_noise(params["beta"]), ("beta",), factors=3,
+               literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}}),
+        Family("w-noise", lambda params: w_noise_matrices(params["beta"]), ("beta",), factors=3,
                sweep_param="beta", minor_columns=(MIN_PT_MINOR,),
-               literature={_GME: {"beta_max": 0.521, "status": _QUOTED}},
-               stack=lambda params: w_noise_matrices(params["beta"])),
-        Family("knoll", _build_knoll, ("omega", "eta"), ("gamma",),
-               sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN),
-               stack=lambda params: amplitude_damped_matrices(_knoll_base_of(params), params["gamma"], 1)),
+               literature={_GME: {"beta_max": 0.521, "status": _QUOTED}}),
+        Family("knoll", _knoll_matrices, ("omega", "eta"), ("gamma",),
+               sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN)),
         Family(
-            "x-state", _build_x_state, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
+            "x-state", _x_state_matrix, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
         ),
     )
 }
@@ -194,13 +179,14 @@ def _family_for(family: str, params: dict) -> Family:
 
 def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
     """Construct a named-family state, validating parameter names."""
-    return _family_for(family, params).build(params)
+    record = _family_for(family, params)
+    return DensityMatrix(record.build(params), (2,) * record.factors)
 
 
 def build_family_stack(family: str, params: dict) -> np.ndarray:
     """The states `build_family_state` builds at each value of a sweepable family's swept
     parameter, which `params` maps to an array of n values, as one validated stack (n, d, d)."""
-    matrices = _family_for(family, params).stack(params)
+    matrices = _family_for(family, params).build(params)
     density_matrix_spectra(matrices)
     return matrices
 
@@ -431,7 +417,7 @@ def _sweep_evaluator(
     """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
     table of column groups, which declares each column once; `criteria` maps each token to its
     test.  The grid's rows are computed here from one record of all its states; any other
-    value gets a one-state record, built once."""
+    value gets a record of its own, a stack of one from the same builder, built once."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
@@ -456,19 +442,22 @@ def _sweep_evaluator(
             for row, computed in zip(rows, group.compute(points)):
                 row.update(zip(group.names, computed))
 
+    def record(values: list[float]) -> _Points:
+        """The record of the states at `values` of the swept parameter, one validated stack."""
+        matrices = build_family_stack(family.name, {**fixed, param: np.array(values)})
+        return _Points(matrices, (2,) * family.factors, kmax)
+
     values = [float(x) for x in grid]
     rows = [{param: x} for x in values]
     if rows:
-        matrices = build_family_stack(family.name, {**fixed, param: np.array(values)})
-        fill(rows, _Points(matrices, (2,) * family.factors, kmax), groups)
+        fill(rows, record(values), groups)
     grid_rows = dict(zip(values, rows))
 
     @functools.cache
     def point(value: float) -> tuple[_Points, dict[str, float]]:
         """The record of the state at one off-grid value, and the row of columns computed so
         far: each distinct value is built, validated and diagonalised once per sweep."""
-        state = build_family_state(family.name, {**fixed, param: value})
-        return _Points.of(state, kmax), {param: value}
+        return record([value]), {param: value}
 
     def evaluate(value: float, only: str | None = None) -> dict[str, float]:
         """The row at one parameter value; with `only`, just that column."""
@@ -499,9 +488,10 @@ def run_sweep(
     `minors.MINOR_BLOCK` states; sign changes of every margin, minor, and
     oracle column are refined by bisection to 1e-6 in the parameter.
     Bisection evaluates only the column it refines, not the whole row: at a
-    grid endpoint it reads the grid row, and at a midpoint it builds a
-    one-state record.  A column counts as negative where value - floor < 0.0,
-    on the grid and in the bisection alike.
+    grid endpoint it reads the grid row, and a midpoint is a stack of one
+    from the family's builder, which builds the grid too.  A column counts
+    as negative where value - floor < 0.0, on the grid and in the bisection
+    alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:

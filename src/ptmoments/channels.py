@@ -161,8 +161,9 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -
 
 
 def amplitude_damped_matrices(state: DensityMatrix, gammas, subsystem: int) -> np.ndarray:
-    """Unvalidated stack (n, dim, dim) of `state` after amplitude damping of one factor, one
-    per gamma: `apply_channel`'s arithmetic on a stack of Kraus pairs."""
+    """Unvalidated `state` after amplitude damping of one factor: (dim, dim) for a float gamma,
+    or a stack (n, dim, dim) for an array of n gammas, `apply_channel`'s arithmetic on a stack
+    of Kraus pairs."""
     operators = _amplitude_damping_operators(gammas)
     _check_trace_preserving(operators)
     return _kraus_sum(state, operators, subsystem)
@@ -192,9 +193,13 @@ def concurrence(state: DensityMatrix) -> float:
 
 
 def matrix_concurrence(m: np.ndarray) -> float:
-    """`concurrence` of a 4x4 matrix that passed the `DensityMatrix` invariant."""
+    """`concurrence` of a 4x4 matrix that passed the `DensityMatrix` invariant.
+
+    Eigenvalues of rho at or below the eigensolver's noise floor, 4 * eps * max |eig|, count
+    as zero: the square root would lift a 1e-16 residue of a rank-deficient state to 1e-8."""
     eigs, vecs = np.linalg.eigh(m)
-    sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    noise = len(eigs) * np.finfo(float).eps * np.abs(eigs).max()
+    sqrt_rho = (vecs * np.sqrt(np.where(eigs > noise, eigs, 0.0))) @ vecs.conj().T
     roots = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
     value = float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
     if is_x_pattern(m):

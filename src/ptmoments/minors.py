@@ -195,12 +195,6 @@ def x_pair_minor_stack(pts) -> np.ndarray:
     return _real_minors(_principal_dets(pts, _X_PAIR_GATHERS[pts.shape[-1]]), labels)
 
 
-def x_pair_minors(pt) -> tuple[float, ...]:
-    """The minors at `X_PAIR_LABELS[d]` of `pt`, the d x d partial transpose over
-    A of a 2- or 3-qubit state."""
-    return tuple(x_pair_minor_stack(linalg.as_square_matrix(pt)[None])[0].tolist())
-
-
 def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, float]:
     """The four 2x2 minors of the partial transpose of a three-qubit X-state
     that can go negative: index pairs {1,8}, {2,7}, {3,6}, {4,5}."""
@@ -214,4 +208,4 @@ def three_qubit_x_minors(state: DensityMatrix) -> tuple[float, float, float, flo
             f"state is not in three-qubit X form: entry ({i + 1},{j + 1}) "
             f"= {m[i, j]:.3e} is off the diagonal/anti-diagonal"
         )
-    return x_pair_minors(partial_transpose(state, 0))
+    return tuple(x_pair_minor_stack(partial_transpose(state, 0)[None])[0].tolist())

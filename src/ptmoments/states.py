@@ -154,8 +154,9 @@ def x_state(params: XStateParams) -> DensityMatrix:
 
 
 def _white_noise_mixtures(name: str, ket: np.ndarray, values) -> np.ndarray:
-    """Unvalidated stack (n, 8, 8) of v*I/8 + (1-v)|ket><ket|, one per value v."""
-    v = _check_unit_interval(name, values)[:, None, None]
+    """Unvalidated v*I/8 + (1-v)|ket><ket|: (8, 8) for a float v, or a stack (n, 8, 8) for an
+    array of n values, one matrix per value."""
+    v = np.asarray(_check_unit_interval(name, values))[..., None, None]
     return v * np.eye(8, dtype=complex) / 8.0 + (1.0 - v) * np.outer(ket, ket.conj())
 
 
@@ -169,24 +170,24 @@ _GHZ = _ket(1.0 / np.sqrt(2.0), 0, 7)
 _W = _ket(1.0 / np.sqrt(3.0), 1, 2, 4)
 
 
-def ghz_noise_matrices(alphas) -> np.ndarray:
-    """Unvalidated stack (n, 8, 8) of ghz_white_noise(alpha), one per alpha."""
-    return _white_noise_mixtures("alpha", _GHZ, alphas)
+def ghz_noise_matrices(alpha) -> np.ndarray:
+    """Unvalidated matrix of ghz_white_noise(alpha), or stack (n, 8, 8) for an array of alphas."""
+    return _white_noise_mixtures("alpha", _GHZ, alpha)
 
 
-def w_noise_matrices(betas) -> np.ndarray:
-    """Unvalidated stack (n, 8, 8) of w_white_noise(beta), one per beta."""
-    return _white_noise_mixtures("beta", _W, betas)
+def w_noise_matrices(beta) -> np.ndarray:
+    """Unvalidated matrix of w_white_noise(beta), or stack (n, 8, 8) for an array of betas."""
+    return _white_noise_mixtures("beta", _W, beta)
 
 
 def ghz_white_noise(alpha: float) -> DensityMatrix:
     """Mixture alpha*I/8 + (1-alpha) |GHZ><GHZ| with |GHZ> = (|000>+|111>)/sqrt(2)."""
-    return DensityMatrix(ghz_noise_matrices([alpha])[0], (2, 2, 2))
+    return DensityMatrix(ghz_noise_matrices(alpha), (2, 2, 2))
 
 
 def w_white_noise(beta: float) -> DensityMatrix:
     """Mixture beta*I/8 + (1-beta) |W><W| with |W> = (|001>+|010>+|100>)/sqrt(3)."""
-    return DensityMatrix(w_noise_matrices([beta])[0], (2, 2, 2))
+    return DensityMatrix(w_noise_matrices(beta), (2, 2, 2))
 
 
 def knoll_state(omega: float, eta: float) -> DensityMatrix:

@@ -46,7 +46,7 @@ from ptmoments import (
     x_state,
     x_state_moments_closed_form,
 )
-from ptmoments.analysis import bisect_sign_change, format_float
+from ptmoments.analysis import bisect_sign_change, format_float, run_sweep
 from ptmoments.cli import main as cli_main
 
 GHZ_POLYNOMIALS = (
@@ -163,6 +163,31 @@ def test_criterion_3_threshold_reproduction():
         "criterion 3: detection thresholds by bisection",
         all(ok for _, ok in checks),
         detail + "; failed: " + (", ".join(n for n, ok in checks if not ok) or "none"),
+    )
+
+
+def _sweep_roots(family, fixed, column):
+    result = run_sweep(family, fixed, 0.0, 1.0, 101)
+    return [root for name, root in result.sign_changes if name == column]
+
+
+def test_criterion_3b_sweep_boundaries_at_closed_form_thresholds():
+    # the sweep's PT-eigenvalue boundary, bisected to 1e-6 in the parameter, against
+    # alpha = 4/5 for GHZ and the entanglement-breaking threshold for each knoll pair
+    # whose threshold lies inside the sweep
+    ghz_roots = _sweep_roots("ghz-noise", {}, "pt_min_eig_A")
+    gaps = {}
+    for omega in (0.1, 0.12, 0.2, 0.3, 0.5, 0.7, 0.9):
+        for eta in (0.05, 0.21, 0.25, 0.5, 0.8, 0.95):
+            threshold = ebc_gamma_threshold(omega, eta)
+            if threshold < 1.0:
+                roots = _sweep_roots("knoll", {"omega": omega, "eta": eta}, "pt_min_eig_A")
+                gaps[omega, eta] = abs(roots[0] - threshold) if len(roots) == 1 else float("inf")
+    worst = max(gaps.values())
+    _report(
+        "criterion 3b: sweep PT boundaries at the closed-form thresholds (1e-6)",
+        len(ghz_roots) == 1 and abs(ghz_roots[0] - 0.8) <= 1e-6 and len(gaps) == 16 and worst <= 1e-6,
+        f"GHZ roots {ghz_roots}; {len(gaps)} knoll pairs, worst gap {worst:.2e}",
     )
 
 

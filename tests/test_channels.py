@@ -151,6 +151,21 @@ class TestConcurrence:
             value = concurrence(x_state(random_x_state(seed)))
             assert 0.0 <= value <= 1.0 + 1e-12
 
+    def test_rank_deficient_damped_states_match_the_closed_form(self):
+        # at eta = 0 the knoll base is pure, and each damped state has rank 2: the
+        # eigensolver's noise eigenvalues must not reach the spin-flip value
+        for omega in np.linspace(0.0, 1.0, 41):
+            base = knoll_state(omega, 0.0)
+            for gamma in np.linspace(0.0, 1.0, 41):
+                state = apply_channel(base, amplitude_damping(gamma), 1)
+                m = state.matrix
+                closed = 2.0 * max(
+                    0.0,
+                    abs(m[0, 3]) - np.sqrt(m[1, 1].real * m[2, 2].real),
+                    abs(m[1, 2]) - np.sqrt(m[0, 0].real * m[3, 3].real),
+                )
+                assert abs(concurrence(state) - closed) <= 1e-10
+
     def test_rejects_three_qubit_input(self):
         from ptmoments import ghz_white_noise
 

@@ -347,6 +347,21 @@ def test_input_error_messages(tmp_path, capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,options",
+    [("sweep", ["--range", "gamma=0:1", "--steps", "4"]), ("analyze", ["--param", f"gamma={1 / 3!r}"])],
+)
+def test_rank_two_knoll_state_concurrence(capsys, command, options):
+    # a pure base damped to rank 2 once failed concurrence's cross-check with exit 3
+    family = ["--family", "knoll", "--param", "omega=0.5", "--param", "eta=0"]
+    assert run([command, *family, *options]) == 0
+    out = capsys.readouterr().out
+    if command == "analyze":
+        assert json.loads(out)["concurrence"] == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
+    else:
+        assert out.splitlines()[2].split(",")[-1] == format_float(np.sqrt(2 / 3))
+
+
 def test_knoll_report_bytes_do_not_depend_on_call_order(capsys):
     # the base-state cache took -0.0 and 0.0 for one key, so the first call decided
     # whether both reports printed -0.0 or 0.0 matrix entries

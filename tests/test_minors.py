@@ -302,14 +302,14 @@ def test_imaginary_residue_guard():
 
 
 def test_x_pair_minors_equal_the_principal_minors_at_the_pairs():
-    from ptmoments.minors import X_PAIR_LABELS, x_pair_minors
+    from ptmoments.minors import X_PAIR_LABELS, x_pair_minor_stack
 
     assert X_PAIR_LABELS == {4: ((1, 4), (2, 3)), 8: ((1, 8), (2, 7), (3, 6), (4, 5))}
-    for seed in range(50):
-        for state in (x_state(random_x_state(seed)), random_three_qubit_x_state(seed)):
-            pt = partial_transpose(state, 0)
-            expected = tuple(principal_minor(pt, pair) for pair in X_PAIR_LABELS[state.dim])
-            assert x_pair_minors(pt) == expected
+    for make in (lambda seed: x_state(random_x_state(seed)), random_three_qubit_x_state):
+        pts = np.array([partial_transpose(make(seed), 0) for seed in range(50)])
+        expected = [[principal_minor(pt, pair) for pair in X_PAIR_LABELS[len(pt)]] for pt in pts]
+        assert x_pair_minor_stack(pts).tolist() == expected
+        assert [x_pair_minor_stack(pt[None])[0].tolist() for pt in pts] == expected
 
 
 def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):

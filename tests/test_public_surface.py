@@ -1,4 +1,10 @@
-"""The public names of `ptmoments`, so none is added or dropped unnoticed."""
+"""The public names of `ptmoments`, so none is added or dropped unnoticed, and the
+modules it loads at run time."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +74,18 @@ def test_public_names_are_exactly_the_expected_ones():
 @pytest.mark.parametrize("module", [ptmoments, linalg, minors], ids=lambda m: m.__name__)
 def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ORACLES if hasattr(module, name)] == []
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    # scipy and the test tools may be installed beside the package, but it must not need them
+    probe = (
+        "import sys; before = set(sys.modules); import ptmoments, ptmoments.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(ptmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "ptmoments" in loaded
+    assert set(loaded) - set(sys.stdlib_module_names) <= {"numpy", "ptmoments"}

@@ -70,11 +70,22 @@ def test_column_evaluation_matches_full_row(name):
 
 
 def test_family_records():
+    # one builder per family: a matrix for float parameters, a stack for an array of
+    # swept values, each slice bit for bit the matrix of its value alone
     assert set(SAMPLE_PARAMS) == set(FAMILY_BY_NAME)
     for name, family in FAMILY_BY_NAME.items():
-        state = build_family_state(name, SAMPLE_PARAMS[name])
+        params = SAMPLE_PARAMS[name]
+        state = build_family_state(name, params)
         assert state.num_factors == family.factors
+        matrix = family.build(params)
+        assert matrix.shape == (state.dim, state.dim)
+        assert matrix.tobytes() == state.matrix.tobytes()
         if family.sweep_param is None:
             assert family.minor_columns == ()
         else:
             assert family.sweep_param in (*family.required, *family.optional)
+            values = [0.0, 0.37, 1.0]
+            stack = family.build({**params, family.sweep_param: np.array(values)})
+            assert stack.shape == (3, state.dim, state.dim)
+            for x, matrix in zip(values, stack):
+                assert matrix.tobytes() == family.build({**params, family.sweep_param: x}).tobytes()

@@ -71,11 +71,12 @@ def test_each_distinct_value_is_built_once(traced_sweep, label):
     result, values, builds, stacks = traced_sweep(family, fixed)
     grid = [row[0] for row in result.rows]
     param = FAMILY_BY_NAME[family].sweep_param
-    # one stack build for the whole grid, one state build per distinct off-grid
-    # value; bisection revisits its grid endpoints and reads their grid rows
-    assert len(stacks) == 1 and list(stacks[0][1][param]) == grid
-    off_grid = set(values) - set(grid)
-    assert sorted(params[param] for _, params in builds) == sorted(off_grid)
+    # one stack build for the whole grid, then a stack of one per distinct off-grid
+    # value, in the order bisection first reaches it; bisection revisits its grid
+    # endpoints and reads their grid rows, and no state is built any other way
+    off_grid = list(dict.fromkeys(x for x in values if x not in set(grid)))
+    assert [list(params[param]) for _, params in stacks] == [grid, *([x] for x in off_grid)]
+    assert builds == []
     assert len(off_grid) < len(values) - len(grid)
 
 
