@@ -24,7 +24,7 @@ from .minors import (
     min_principal_minors,
     x_pair_minor_stack,
 )
-from .moments import MomentVector, geometric_mean_moments, power_sums, resolve_criteria, resolve_kmax
+from .moments import check_moments, geometric_mean_moments, power_sums, resolve_criteria, resolve_kmax
 from .ptranspose import negativity_from_spectrum, transpose_subsystem
 from .states import (
     DensityMatrix,
@@ -105,7 +105,7 @@ MIN_PT_MINOR = ColumnGroup(
     ("min_principal_minor",), lambda points: min_principal_minors(points.pt(0))[:, None].tolist()
 )
 CONCURRENCE_COLUMN = ColumnGroup(
-    ("concurrence",), lambda points: [(matrix_concurrence(m),) for m in points.matrices],
+    ("concurrence",), lambda points: matrix_concurrence(points.matrices)[:, None].tolist(),
     floor=CONCURRENCE_FLOOR,
 )
 
@@ -274,10 +274,11 @@ def load_state_json(path) -> DensityMatrix:
 class _Points:
     """States of one layout as a stack (n, d, d) and, each computed for the whole stack on first
     use and kept: the partial transpose over A, pt(0) (n, d, d); every cut's ascending
-    spectrum(s) (n, d); every cut's PT moments(s) up to kmax, one MomentVector per state; and
-    the criteria_moments() with their provenance.  pt(s) over any other cut is built anew each
-    time, so it goes once its spectrum is taken.  The caches close over locals, not over the
-    record, so no cycle holds it."""
+    spectrum(s) (n, d); every cut's PT moments(s) (n, kmax); and the criteria_moments() (n, kmax)
+    with their provenance.  Each moment array is checked once per stack, raising what its first
+    failing row raises as a MomentVector.  pt(s) over any other cut is built anew each time, so
+    it goes once its spectrum is taken.  The caches close over locals, not over the record, so
+    no cycle holds it."""
 
     def __init__(self, matrices: np.ndarray, dims: tuple[int, ...], kmax: int | None = None):
         self.matrices = matrices
@@ -286,18 +287,29 @@ class _Points:
         self.pt = pt = lambda s: pt_a() if s == 0 else transpose_subsystem(matrices, dims, s)
         self.spectrum = spectrum = functools.cache(lambda s: linalg.hermitian_eigenvalues(pt(s)))
         self.moments = moments = functools.cache(
-            lambda s: [MomentVector(tuple(p), dim) for p in power_sums(spectrum(s), kmax).tolist()]
+            lambda s: check_moments(power_sums(spectrum(s), kmax), dim)
         )
 
         @functools.cache
-        def criteria_moments() -> tuple[list[MomentVector], str]:
+        def criteria_moments() -> tuple[np.ndarray, str]:
             if len(dims) == 3:
-                cuts = np.array([[mv.values for mv in moments(s)] for s in range(3)])
-                mean = geometric_mean_moments(cuts).tolist()
-                return [MomentVector(tuple(p), dim) for p in mean], "tripartite-geometric-mean"
+                mean = geometric_mean_moments(np.array([moments(s) for s in range(3)]))
+                return check_moments(mean, dim), "tripartite-geometric-mean"
             return moments(0), SUBSYSTEM_NAMES[0]
 
         self.criteria_moments = criteria_moments
+
+    def take(self, rows: list[int]) -> _Points:
+        """The record of the states at `rows` of the stack.  It reads this record's caches, so
+        what they hold is computed for the whole stack; its own matrices and pt(0), and what a
+        column computes from them alone, such as minors, are those rows only."""
+        part = object.__new__(_Points)
+        part.matrices = self.matrices[rows]
+        part.pt = lambda s: self.pt(s)[rows]
+        part.spectrum = lambda s: self.spectrum(s)[rows]
+        part.moments = lambda s: self.moments(s)[rows]
+        part.criteria_moments = lambda: (self.criteria_moments()[0][rows], self.criteria_moments()[1])
+        return part
 
     @classmethod
     def of(cls, state: DensityMatrix, kmax: int | None = None) -> _Points:
@@ -347,20 +359,20 @@ def analyze_state(
     kmax = resolve_kmax(state.num_factors, kmax)
     point = _Points.of(state, kmax)
     spectra = _named_spectra(state, point, tol)
-    moments = {name: point.moments(s)[0] for s, name in enumerate(spectra)}
+    moments = {name: point.moments(s)[0].tolist() for s, name in enumerate(spectra)}
     crit, source = point.criteria_moments()
-    crit_mv = crit[0]
-    verdicts = [test(crit_mv, tol) for test in resolve_criteria(criteria, kmax).values()]
+    verdicts = [c.verdict(crit[0], tol) for c in resolve_criteria(criteria, kmax).values()]
+    negativities = negativity_from_spectrum(np.array(list(spectra.values())), tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
         "kmax": kmax,
         "tolerance": tol,
         "state": state_payload(state),
-        "moments": {name: list(mv.values) for name, mv in moments.items()},
-        "criteria_moments": {"source": source, "values": list(crit_mv.values)},
+        "moments": moments,
+        "criteria_moments": {"source": source, "values": crit[0].tolist()},
         "criteria": [asdict(v) for v in verdicts],
-        "negativity": {name: negativity_from_spectrum(eigs, tol) for name, eigs in spectra.items()},
+        "negativity": dict(zip(spectra, negativities.tolist())),
         "key_minors": _key_minors_block(state, point),
         "oracle": _oracle_block(spectra, tol),
     }
@@ -397,18 +409,34 @@ class SweepResult:
     sign_changes: list[tuple[str, float]]
 
 
-def bisect_sign_change(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
+def bisect_sign_change(f, lo, hi, xtol: float = 1e-6):
     """Locate where f changes sign in [lo, hi] by bisection, with the sweep grid's
-    sign test f(x) < 0.0: an exact zero counts as non-negative, as on the grid."""
-    lo_negative = f(lo) < 0.0
-    if lo_negative == (f(hi) < 0.0):
-        raise ValidationError(f"no sign change of {f} in [{lo}, {hi}]")
+    sign test f(x) < 0.0: an exact zero counts as non-negative, as on the grid.
+
+    `lo` and `hi` may also be arrays of brackets, halved in lockstep: then f(x, brackets)
+    maps the midpoints x of the brackets still wider than xtol, whose indices are `brackets`,
+    to their values at once, and the array of roots is returned.  Each bracket stops once its
+    own width is at most xtol, after at most BISECT_MAX_ITER halvings."""
+    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    values = (lambda x, brackets: np.array([f(float(x[0]))])) if single else f
+    every = np.arange(len(lo))
+    # f gets copies of the ends, which the halvings below overwrite in place
+    lo_negative = values(lo.copy(), every) < 0.0
+    flat = np.flatnonzero(lo_negative == (values(hi.copy(), every) < 0.0))
+    if flat.size:
+        k = flat[0]
+        raise ValidationError(f"no sign change of {f} in [{float(lo[k])}, {float(hi[k])}]")
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= xtol:
+        live = np.flatnonzero(hi - lo > xtol)
+        if not live.size:
             break
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
+        keeps_sign = (values(mid, live) < 0.0) == lo_negative[live]
+        lo[live] = np.where(keeps_sign, mid, lo[live])
+        hi[live] = np.where(keeps_sign, hi[live], mid)
+    roots = 0.5 * (lo + hi)
+    return float(roots[0]) if single else roots
 
 
 def _sweep_evaluator(
@@ -416,18 +444,20 @@ def _sweep_evaluator(
 ):
     """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
     table of column groups, which declares each column once; `criteria` maps each token to its
-    test.  The grid's rows are computed here from one record of all its states; any other
-    value gets a record of its own, a stack of one from the same builder, built once."""
+    `moments.Criterion`.  Every group computes its columns for a whole `_Points` stack at once.
+    The grid's rows are computed here from one record of all its states; the other values of
+    each `evaluate` call get one record of their own, a stack from the same builder, and each
+    group is computed on the part of it that asks for that group's columns."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
-                    lambda points: [mv.values for mv in points.criteria_moments()[0]], floor=None),
+                    lambda points: points.criteria_moments()[0].tolist(), floor=None),
         *(ColumnGroup((f"{t}_margin",),
-                      lambda points, test=test: [(test(mv, tol).margin,)
-                                                 for mv in points.criteria_moments()[0]])
-          for t, test in criteria.items()),
+                      lambda points, test=criterion.test:
+                          test(points.criteria_moments()[0], tol)[0][:, None].tolist())
+          for t, criterion in criteria.items()),
         ColumnGroup(("negativity_A",),
-                    lambda points: [(negativity_from_spectrum(eigs, tol),) for eigs in points.spectrum(0)],
+                    lambda points: negativity_from_spectrum(points.spectrum(0), tol)[:, None].tolist(),
                     floor=None),
         ColumnGroup(("pt_min_eig_A",), lambda points: points.spectrum(0)[:, :1].tolist()),
         *family.minor_columns,
@@ -447,26 +477,44 @@ def _sweep_evaluator(
         matrices = build_family_stack(family.name, {**fixed, param: np.array(values)})
         return _Points(matrices, (2,) * family.factors, kmax)
 
-    values = [float(x) for x in grid]
-    rows = [{param: x} for x in values]
-    if rows:
-        fill(rows, record(values), groups)
-    grid_rows = dict(zip(values, rows))
+    grid_values = [float(x) for x in grid]
+    grid_rows = [{param: x} for x in grid_values]
+    if grid_rows:
+        fill(grid_rows, record(grid_values), groups)
+    grid_row = dict(zip(grid_values, grid_rows))
 
-    @functools.cache
-    def point(value: float) -> tuple[_Points, dict[str, float]]:
-        """The record of the state at one off-grid value, and the row of columns computed so
-        far: each distinct value is built, validated and diagonalised once per sweep."""
-        return record([value]), {param: value}
+    def column_values(values, names) -> np.ndarray:
+        """Column names[i] at values[i] for each i.  Grid values read their grid rows.  The
+        distinct other values are built as one record, and each group is computed only at
+        the values that ask for one of its columns."""
+        values = [float(x) for x in values]
+        row_at = {x: grid_row.get(x) for x in values}
+        new = [x for x, row in row_at.items() if row is None]
+        if new:
+            points = record(new)
+            position = {x: i for i, x in enumerate(new)}
+            asking: dict[ColumnGroup, set[int]] = {}  # each group -> the positions asking for it
+            for x, c in zip(values, names):
+                if x in position and c in group_of:
+                    asking.setdefault(group_of[c], set()).add(position[x])
+            row_at.update((x, {param: x}) for x in new)
+            for group in groups:
+                if group in asking:
+                    taken = sorted(asking[group])
+                    fill([row_at[new[i]] for i in taken], points.take(taken), [group])
+        return np.array([row_at[x][c] for x, c in zip(values, names)])
 
-    def evaluate(value: float, only: str | None = None) -> dict[str, float]:
-        """The row at one parameter value; with `only`, just that column."""
-        row = grid_rows.get(value)
+    def evaluate(values, only=None):
+        """The row at one parameter value, every column or, with `only`, that column alone; or,
+        for an array of values and a sequence `only` of one column name per value, the array of
+        those columns' values (`column_values`)."""
+        if np.ndim(values):
+            return column_values(values, only)
+        names = columns if only is None else [only]
+        row = grid_row.get(values)
         if row is None:
-            record, row = point(value)
-            wanted = groups if only is None else (group_of[only],)
-            fill([row], record, [group for group in wanted if group.names[0] not in row])
-        return {c: row[c] for c in columns} if only is None else {only: row[only]}
+            row = dict(zip(names, column_values([values] * len(names), names).tolist()))
+        return {c: row[c] for c in names}
 
     return columns, evaluate, floors
 
@@ -485,13 +533,14 @@ def run_sweep(
 
     The grid's states are built, validated, partially transposed and
     diagonalised as one stack, and their minors enumerated in blocks of
-    `minors.MINOR_BLOCK` states; sign changes of every margin, minor, and
-    oracle column are refined by bisection to 1e-6 in the parameter.
-    Bisection evaluates only the column it refines, not the whole row: at a
-    grid endpoint it reads the grid row, and a midpoint is a stack of one
-    from the family's builder, which builds the grid too.  A column counts
-    as negative where value - floor < 0.0, on the grid and in the bisection
-    alike.
+    `minors.MINOR_BLOCK` states; each column is computed for the whole stack
+    at once.  Sign changes of every margin, minor, and oracle column are
+    refined by bisection to 1e-6 in the parameter, all brackets in lockstep:
+    the endpoints read the grid rows, and each halving builds the distinct
+    midpoints of the brackets still open as one stack from the family's
+    builder, which builds the grid too, and computes each column only at the
+    midpoints of the brackets that refine it.  A column counts as negative
+    where value - floor < 0.0, on the grid and in the bisection alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:
@@ -515,18 +564,23 @@ def run_sweep(
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]
 
-    sign_changes: list[tuple[str, float]] = []
+    # Every (column, grid cell) whose sign test differs at its two ends, column by column.
+    names, cells = [], []
     for column, floor in floors.items():
         negative = np.array([row[column] - floor < 0.0 for row in table])
-        for i in np.flatnonzero(negative[1:] != negative[:-1]):
-            root = bisect_sign_change(
-                lambda x, c=column, f=floor: evaluate(float(x), only=c)[c] - f,
-                float(grid[i]),
-                float(grid[i + 1]),
-                xtol=1e-6,
-            )
-            sign_changes.append((column, root))
-    return SweepResult(columns=columns, rows=rows, sign_changes=sign_changes)
+        crossings = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
+        names += [column] * len(crossings)
+        cells += crossings
+    roots = []
+    if cells:
+        offsets = np.array([floors[c] for c in names])
+        roots = bisect_sign_change(
+            lambda x, brackets: evaluate(x, only=[names[k] for k in brackets]) - offsets[brackets],
+            grid[cells],
+            grid[np.add(cells, 1)],
+            xtol=1e-6,
+        ).tolist()
+    return SweepResult(columns=columns, rows=rows, sign_changes=list(zip(names, roots)))
 
 
 def format_float(value: float) -> str:

@@ -156,18 +156,22 @@ def min_principal_minors(matrices) -> np.ndarray:
     return np.concatenate([_all_minor_values(m[i:i + MINOR_BLOCK]).min(axis=1) for i in blocks])
 
 
+@lru_cache(maxsize=MAX_ENUMERATION_DIM)
 def _off_x_mask(dim: int) -> np.ndarray:
     """True off the diagonal and anti-diagonal of a dim x dim matrix."""
     mask = np.ones((dim, dim), dtype=bool)
     np.fill_diagonal(mask, False)
     np.fill_diagonal(np.fliplr(mask), False)
+    mask.flags.writeable = False
     return mask
 
 
-def is_x_pattern(matrix, atol: float = X_PATTERN_ATOL) -> bool:
-    """True iff nonzero entries sit only on the diagonal and anti-diagonal."""
-    m = linalg.as_square_matrix(matrix)
-    return bool(np.max(np.abs(m[_off_x_mask(m.shape[0])]), initial=0.0) <= atol)
+def is_x_pattern(matrix, atol: float = X_PATTERN_ATOL):
+    """True iff nonzero entries sit only on the diagonal and anti-diagonal; for a stack
+    (..., d, d), a boolean array (...) of one such test per matrix."""
+    m = linalg.as_square_matrix(matrix, stack=True)
+    x_form = np.max(np.abs(m[..., _off_x_mask(m.shape[-1])]), axis=-1, initial=0.0) <= atol
+    return bool(x_form) if m.ndim == 2 else x_form
 
 
 def x_state_key_minors(params: XStateParams) -> tuple[float, float]:

@@ -11,6 +11,7 @@ sums of the j x j principal minors of rho^T_s (`moments_from_minor_sums`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,25 @@ FLOOR_SNAP = 1e-12
 MAX_KMAX = 32
 
 
+def check_moments(p: np.ndarray, dim: int | None) -> np.ndarray:
+    """Return the moments p (n, kmax), one row p_1..p_kmax per state, once each row has p_1 = 1
+    within 1e-12 and, where `dim` is given, p_2 in [1/dim, 1] within 1e-10; otherwise raise what
+    the first failing row raises as a `MomentVector`."""
+    p1_bad = np.abs(p[:, 0] - 1.0) > 1e-12
+    failing = p1_bad
+    if dim is not None and p.shape[1] >= 2:
+        failing = p1_bad | ~((1.0 / dim - 1e-10 <= p[:, 1]) & (p[:, 1] <= 1.0 + 1e-10))
+    if failing.any():
+        k = failing.argmax()
+        if p1_bad[k]:
+            raise ValidationError(f"p_1 must equal 1 (trace), got {p[k, 0]:.15g}")
+        raise ValidationError(f"p_2 = {p[k, 1]:.15g} outside [1/{dim}, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class MomentVector:
-    """Moments p_1..p_kmax and the total Hilbert-space dimension."""
+    """Moments p_1..p_kmax and the total Hilbert-space dimension, checked by `check_moments`."""
 
     values: tuple[float, ...]
     dim: int | None = None
@@ -39,25 +56,12 @@ class MomentVector:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValidationError("moment vector must contain at least p_1")
-        if abs(values[0] - 1.0) > 1e-12:
-            raise ValidationError(f"p_1 must equal 1 (trace), got {values[0]:.15g}")
-        if self.dim is not None and len(values) >= 2:
-            p2 = values[1]
-            if not (1.0 / self.dim - 1e-10 <= p2 <= 1.0 + 1e-10):
-                raise ValidationError(
-                    f"p_2 = {p2:.15g} outside [1/{self.dim}, 1]"
-                )
+        check_moments(np.array([values]), self.dim)
         object.__setattr__(self, "values", values)
 
     @property
     def kmax(self) -> int:
         return len(self.values)
-
-    def p(self, k: int) -> float:
-        """The moment p_k (one-based)."""
-        if not 1 <= k <= self.kmax:
-            raise ValidationError(f"moment p_{k} not available (kmax={self.kmax})")
-        return self.values[k - 1]
 
 
 @dataclass(frozen=True)
@@ -114,36 +118,48 @@ def pt_moments(state: DensityMatrix, subsystem: int, kmax: int | None = None) ->
     return moments_from_spectrum(eigs, kmax, state.dim)
 
 
-def hankel(moments: MomentVector, k: int) -> np.ndarray:
-    """The (k+1) x (k+1) Hankel matrix with entries p_{i+j+1}, i, j = 0..k."""
+def _hankel_stack(p: np.ndarray, k: int) -> np.ndarray:
+    """The Hankel matrix B_k of each row of moments p (n, kmax), as a stack (n, k+1, k+1)."""
     if k < 1:
         raise ValidationError(f"Hankel order must be >= 1, got {k}")
     needed = 2 * k + 1
-    if moments.kmax < needed:
+    if p.shape[-1] < needed:
         raise ValidationError(
-            f"Hankel order {k} needs {needed} moments, have {moments.kmax}"
+            f"Hankel order {k} needs {needed} moments, have {p.shape[-1]}"
         )
-    vals = moments.values
-    return np.array([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
+    return p[:, np.add.outer(np.arange(k + 1), np.arange(k + 1))]
 
 
-def pn_ppt_test(moments: MomentVector, n: int, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
-    """Order-n moment criterion (n odd >= 3): separability requires the Hankel
-    matrix B_{(n-1)/2} to be positive semidefinite.  Margin is its smallest
-    eigenvalue."""
-    if n < 3 or n % 2 == 0:
-        raise ValidationError(f"criterion order must be odd and >= 3, got {n}")
-    matrix = hankel(moments, (n - 1) // 2)
-    eigs = np.linalg.eigvalsh(matrix)
-    margin = float(eigs[0])
-    return CriterionVerdict.from_margin(f"p{n}-ppt", margin, linalg.relative_tolerance(eigs, tol))
+def hankel(moments: MomentVector, k: int) -> np.ndarray:
+    """The (k+1) x (k+1) Hankel matrix with entries p_{i+j+1}, i, j = 0..k."""
+    return _hankel_stack(np.array([moments.values]), k)[0]
 
 
-def p3_ppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
-    """Order-3 criterion in determinant form: separability requires p3 >= p2^2;
-    its absolute tolerance equals the relative one (see `linalg.relative_tolerance`)."""
-    margin = moments.p(3) - moments.p(2) ** 2
-    return CriterionVerdict.from_margin("p3-ppt", margin, tol)
+def _moment(p: np.ndarray, k: int) -> np.ndarray:
+    """p_k (one-based) of each row of moments p (n, kmax)."""
+    if p.shape[-1] < k:
+        raise ValidationError(f"moment p_{k} not available (kmax={p.shape[-1]})")
+    return p[:, k - 1]
+
+
+def _power(values: np.ndarray, k: int) -> np.ndarray:
+    """values ** k as Python's float power computes it, element by element: numpy's vectorised
+    power differs from it in the last bit on some inputs, and reports print margins in full."""
+    return np.array([v ** k for v in values.tolist()])
+
+
+def _oppt_thresholds(p2: np.ndarray) -> np.ndarray:
+    """`oppt_threshold` of each p2 of an array, raising what the first failing one raises alone."""
+    inside = (0.0 < p2) & (p2 <= 1.0 + FLOOR_SNAP)
+    if not inside.all():
+        raise ValidationError(f"p_2 must lie in (0, 1], got {p2[inside.argmin()]:.15g}")
+    p2 = np.minimum(p2, 1.0)
+    inverse = 1.0 / p2
+    nearest = np.rint(inverse)  # to even on a tie, as Python's round
+    a = np.where(np.abs(inverse - nearest) <= FLOOR_SNAP, nearest, np.floor(inverse))
+    a_plus_1 = a + 1.0
+    x = (a + np.sqrt(a * (p2 * a_plus_1 - 1.0))) / (a * a_plus_1)
+    return a * _power(x, 3) + _power(1.0 - a * x, 3)
 
 
 def oppt_threshold(p2: float) -> float:
@@ -153,43 +169,82 @@ def oppt_threshold(p2: float) -> float:
     the bound is a*x^3 + (1 - a*x)^3.  It dominates p2^2, with equality
     exactly when 1/p2 is an integer.
     """
-    p2 = float(p2)
-    if 1.0 < p2 <= 1.0 + FLOOR_SNAP:
-        p2 = 1.0
-    if not 0.0 < p2 <= 1.0:
-        raise ValidationError(f"p_2 must lie in (0, 1], got {p2:.15g}")
-    inverse = 1.0 / p2
-    nearest = round(inverse)
-    a = int(nearest) if abs(inverse - nearest) <= FLOOR_SNAP else int(np.floor(inverse))
-    x = (a + np.sqrt(a * (p2 * (a + 1) - 1.0))) / (a * (a + 1))
-    return float(a * x ** 3 + (1.0 - a * x) ** 3)
+    return float(_oppt_thresholds(np.array([float(p2)]))[0])
+
+
+# The criteria's tests, each over moments p (n, kmax): (margins, tolerances), one of each per row.
+# The order-3 tests' absolute tolerance equals the relative one (see `linalg.relative_tolerance`).
+
+
+def _p3_ppt(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    margins = _moment(p, 3) - _power(_moment(p, 2), 2)
+    linalg.check_tolerance(tol)
+    return margins, np.full(len(p), tol)
+
+
+def _p3_oppt(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    margins = _moment(p, 3) - _oppt_thresholds(_moment(p, 2))
+    linalg.check_tolerance(tol)
+    return margins, np.full(len(p), tol)
+
+
+def _pn_ppt(p: np.ndarray, tol: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    eigs = np.linalg.eigvalsh(_hankel_stack(p, (n - 1) // 2))
+    return eigs[:, 0], linalg.relative_tolerance(eigs, tol)
+
+
+class Criterion(NamedTuple):
+    """A moment criterion: the name its verdicts carry, the highest moment order it reads, and
+    its test over moments p (n, kmax), giving per-state margins and tolerances."""
+
+    name: str
+    order: int
+    test: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+
+    def verdict(self, moments, tol: float) -> CriterionVerdict:
+        """The verdict on one vector of moments p_1..p_kmax: the test on a stack of one."""
+        margins, tolerances = self.test(np.asarray(moments)[None], tol)
+        return CriterionVerdict.from_margin(self.name, float(margins[0]), float(tolerances[0]))
+
+
+def _hankel_criterion(n: int) -> Criterion:
+    return Criterion(f"p{n}-ppt", n, lambda p, tol: _pn_ppt(p, tol, n))
+
+
+def pn_ppt_test(moments: MomentVector, n: int, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
+    """Order-n moment criterion (n odd >= 3): separability requires the Hankel
+    matrix B_{(n-1)/2} to be positive semidefinite.  Margin is its smallest
+    eigenvalue."""
+    if n < 3 or n % 2 == 0:
+        raise ValidationError(f"criterion order must be odd and >= 3, got {n}")
+    return _hankel_criterion(n).verdict(moments.values, tol)
+
+
+def p3_ppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
+    """Order-3 criterion in determinant form: separability requires p3 >= p2^2."""
+    return CRITERIA["p3ppt"].verdict(moments.values, tol)
 
 
 def p3_oppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> CriterionVerdict:
-    """Optimal order-3 criterion, necessary and sufficient given (p1, p2, p3);
-    its absolute tolerance equals the relative one (see `linalg.relative_tolerance`)."""
-    margin = moments.p(3) - oppt_threshold(moments.p(2))
-    return CriterionVerdict.from_margin("p3-oppt", margin, tol)
+    """Optimal order-3 criterion, necessary and sufficient given (p1, p2, p3)."""
+    return CRITERIA["p3oppt"].verdict(moments.values, tol)
 
 
 _HANKEL_ORDERS = range(5, MAX_KMAX + 1, 2)  # the orders past 3 that MAX_KMAX moments can feed
 
-# Each criterion's token -> (highest moment order it reads, test(moments, tol)).  The tests
-# are looked up among this module's globals at call time, so a substitute bound to those
-# names sees every call.
-CRITERIA = {
-    "p3ppt": (3, lambda mv, tol: p3_ppt_test(mv, tol)),
-    "p3oppt": (3, lambda mv, tol: p3_oppt_test(mv, tol)),
-    **{f"p{n}ppt": (n, lambda mv, tol, n=n: pn_ppt_test(mv, n, tol)) for n in _HANKEL_ORDERS},
+CRITERIA = {  # by token
+    "p3ppt": Criterion("p3-ppt", 3, _p3_ppt),
+    "p3oppt": Criterion("p3-oppt", 3, _p3_oppt),
+    **{f"p{n}ppt": _hankel_criterion(n) for n in _HANKEL_ORDERS},
 }
 
 
 def resolve_criteria(selection: str | None, kmax: int) -> dict:
-    """{token: test} for a comma list such as 'p3ppt,P3-OPPT,p5ppt', or by default p3ppt and
+    """{token: Criterion} for a comma list such as 'p3ppt,P3-OPPT,p5ppt', or by default p3ppt and
     p3oppt, then p5ppt and p7ppt while kmax reaches them.  Each token, matched in any case with
     hyphens dropped, must be known, given once, and read at most kmax moments."""
     if selection is None:
-        tokens = ["p3ppt", "p3oppt", *(t for t in ("p5ppt", "p7ppt") if CRITERIA[t][0] <= kmax)]
+        tokens = ["p3ppt", "p3oppt", *(t for t in ("p5ppt", "p7ppt") if CRITERIA[t].order <= kmax)]
     else:
         tokens = [t.strip() for t in selection.split(",") if t.strip()]
         if not tokens:
@@ -202,9 +257,9 @@ def resolve_criteria(selection: str | None, kmax: int) -> dict:
                                   f"with odd n in {_HANKEL_ORDERS[0]}..{_HANKEL_ORDERS[-1]}")
         if name in tests:
             raise ValidationError(f"criterion {name!r} is given more than once")
-        order, tests[name] = CRITERIA[name]
-        if order > kmax:
-            raise ValidationError(f"criterion {name!r} needs kmax >= {order}, got {kmax}")
+        tests[name] = CRITERIA[name]
+        if tests[name].order > kmax:
+            raise ValidationError(f"criterion {name!r} needs kmax >= {tests[name].order}, got {kmax}")
     return tests
 
 

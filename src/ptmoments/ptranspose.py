@@ -52,9 +52,17 @@ def negativity(state: DensityMatrix, subsystem: int, tol: float = linalg.DEFAULT
     return negativity_from_spectrum(eigs, tol)
 
 
-def negativity_from_spectrum(eigs: np.ndarray, tol: float) -> float:
-    """Summed |eigenvalues| of a partial transpose's spectrum below the relative tolerance."""
-    negative = eigs[eigs < -linalg.relative_tolerance(eigs, tol)]
-    if negative.size == 0:
-        return 0.0
-    return float(-negative.sum())
+def negativity_from_spectrum(eigs: np.ndarray, tol: float):
+    """Summed |eigenvalues| below the relative tolerance of a partial transpose's ascending
+    spectrum (d,), a float; or of each spectrum of a stack (n, d), an array (n,).
+
+    The negative eigenvalues lead each spectrum.  The spectra with k of them are summed as
+    one (m, k) block, which adds the same numbers in the same order as each spectrum alone."""
+    if eigs.ndim == 1:
+        return float(negativity_from_spectrum(eigs[None], tol)[0])
+    counts = (eigs < -linalg.relative_tolerance(eigs, tol)[:, None]).sum(axis=-1)
+    totals = np.zeros(len(eigs))
+    for k in set(counts.tolist()) - {0}:
+        rows = counts == k
+        totals[rows] = -eigs[rows, :k].sum(axis=-1)
+    return totals

@@ -56,15 +56,17 @@ def batched_ginibre(rng: np.random.Generator, count: int, dim: int) -> np.ndarra
     return rho / tr[:, None, None]
 
 
-def sweep_evaluator(name: str):
-    """(columns, evaluate, floors) of a fresh sweep of family `name` at its
-    SAMPLE_PARAMS, with the default criteria, kmax and tolerance, and no grid:
-    every value gets a one-state record."""
+def sweep_evaluator(
+    name: str, fixed: dict | None = None, criteria: str | None = None, kmax: int | None = None
+):
+    """(columns, evaluate, floors) of a fresh sweep of family `name` at its SAMPLE_PARAMS, or at
+    `fixed`, with the default or given criteria and kmax, tolerance 1e-10, and no grid: every
+    value gets a one-state record."""
     family = analysis.FAMILY_BY_NAME[name]
-    fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
-    kmax = resolve_kmax(family.factors, None)
-    criteria = resolve_criteria(None, kmax)
-    return analysis._sweep_evaluator(family, fixed, criteria, kmax, 1e-10, ())
+    if fixed is None:
+        fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
+    kmax = resolve_kmax(family.factors, kmax)
+    return analysis._sweep_evaluator(family, fixed, resolve_criteria(criteria, kmax), kmax, 1e-10, ())
 
 
 def record_evaluations(monkeypatch) -> list:

@@ -101,3 +101,49 @@ def kron_apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: i
         full = np.kron(np.kron(np.eye(before), op), np.eye(after))
         out = out + full @ state.matrix @ full.conj().T
     return out
+
+
+# Margins, thresholds, negativity and concurrence of one state at a time, in Python floats
+# where the formulas allow: the references the stacked code must reproduce bit for bit.
+
+
+def one_state_p3_ppt_margin(values) -> float:
+    return values[2] - values[1] ** 2
+
+
+def one_state_oppt_threshold(p2: float) -> float:
+    p2 = float(p2)
+    if 1.0 < p2 <= 1.0 + 1e-12:
+        p2 = 1.0
+    if not 0.0 < p2 <= 1.0:
+        raise ValidationError(f"p_2 must lie in (0, 1], got {p2:.15g}")
+    inverse = 1.0 / p2
+    nearest = round(inverse)
+    a = int(nearest) if abs(inverse - nearest) <= 1e-12 else int(np.floor(inverse))
+    x = (a + np.sqrt(a * (p2 * (a + 1) - 1.0))) / (a * (a + 1))
+    return float(a * x ** 3 + (1.0 - a * x) ** 3)
+
+
+def one_state_pn_ppt(values, n: int, tol: float) -> tuple[float, float]:
+    """(margin, tolerance) of the order-n Hankel criterion."""
+    k = (n - 1) // 2
+    eigs = np.linalg.eigvalsh(np.array([[values[i + j] for j in range(k + 1)] for i in range(k + 1)]))
+    return float(eigs[0]), relative_tolerance(eigs, tol)
+
+
+_SPIN_FLIP = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+
+
+def one_state_concurrence(m: np.ndarray) -> float:
+    eigs, vecs = np.linalg.eigh(m)
+    noise = len(eigs) * np.finfo(float).eps * np.abs(eigs).max()
+    sqrt_rho = (vecs * np.sqrt(np.where(eigs > noise, eigs, 0.0))) @ vecs.conj().T
+    roots = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def one_state_negativity(eigs: np.ndarray, tol: float) -> float:
+    negative = eigs[eigs < -relative_tolerance(eigs, tol)]
+    if negative.size == 0:
+        return 0.0
+    return float(-negative.sum())

@@ -332,10 +332,12 @@ def test_no_criterion_fires_on_separable_states():
 def test_criteria_table():
     assert list(CRITERIA) == ["p3ppt", "p3oppt", *(f"p{n}ppt" for n in range(5, MAX_KMAX, 2))]
     mv = pt_moments(ghz_white_noise(0.5), 0, MAX_KMAX)
-    for token, (order, test) in CRITERIA.items():
-        assert test(mv, 1e-10).criterion.replace("-", "") == token
+    for token, criterion in CRITERIA.items():
+        name, order, test = criterion
+        assert criterion.verdict(mv.values, 1e-10).criterion == name
+        assert name.replace("-", "") == token
         # any case, hyphens dropped: P5-PPT, P3O-PPT
-        assert resolve_criteria(f" {token[:-3].upper()}-{token[-3:].upper()} ", order) == {token: test}
+        assert resolve_criteria(f" {token[:-3].upper()}-{token[-3:].upper()} ", order) == {token: criterion}
         with pytest.raises(ValidationError, match=f"criterion '{token}' needs kmax >= {order}, got {order - 1}$"):
             resolve_criteria(token.upper(), order - 1)
 

@@ -3,6 +3,7 @@ in the bisection, so they do not depend on the grid."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ptmoments import ValidationError
@@ -55,3 +56,37 @@ def test_plateau_at_zero_puts_no_root_on_the_grid_end():
     roots = dict(run_sweep("ghz-noise", {}, 0.0, 1.0, 3).sign_changes)
     assert roots["p3ppt_margin"] == pytest.approx(0.678333759308, abs=1e-9)
     assert roots["p3oppt_margin"] == pytest.approx(0.695058345795, abs=1e-9)
+
+
+def test_array_bisection_names_the_bracket_without_a_sign_change():
+    # the second bracket, [0.5, 1.0], is non-negative at both ends
+    with pytest.raises(ValidationError, match=r"no sign change of .* in \[0\.5, 1\.0\]$"):
+        bisect_sign_change(lambda x, brackets: x - 0.25, np.array([0.0, 0.5]), np.array([0.5, 1.0]))
+
+
+def test_array_bisection_halves_each_bracket_until_its_own_width_is_within_xtol():
+    # the first bracket starts 0.8e-6 wide, below xtol, and is never halved; the second
+    # halves 20 times, each midpoint alone, as the scalar loop halves it
+    calls = []
+
+    def f(x, brackets):
+        calls.append((x.tolist(), brackets.tolist()))
+        return np.where(brackets == 0, x - 0.3, x - 0.7)
+
+    lo, hi = np.array([0.3 - 0.4e-6, 0.0]), np.array([0.3 + 0.4e-6, 1.0])
+    roots = bisect_sign_change(f, lo, hi, xtol=1e-6)
+    assert roots[0] == 0.5 * (lo[0] + hi[0])
+    assert roots[1] == bisect_sign_change(lambda x: x - 0.7, 0.0, 1.0, xtol=1e-6)
+    ends, halvings = calls[:2], calls[2:]
+    assert ends == [(lo.tolist(), [0, 1]), (hi.tolist(), [0, 1])]
+    assert len(halvings) == 20 and all(brackets == [1] for _, brackets in halvings)
+
+
+def test_array_bisection_equals_scalar_bisection_per_bracket():
+    # brackets of different widths and signs, halved in lockstep, find what each finds alone
+    functions = [lambda x: x - 0.3, lambda x: 0.61 - x, lambda x: min(0.0, x - 0.45), lambda x: x * x - 0.5]
+    lo, hi = np.array([0.0, 0.5, 0.4, 0.7]), np.array([1.0, 0.7, 0.5, 0.71])
+    roots = bisect_sign_change(
+        lambda x, brackets: np.array([functions[k](v) for v, k in zip(x, brackets)]), lo, hi, xtol=1e-9
+    )
+    assert roots.tolist() == [bisect_sign_change(g, a, b, xtol=1e-9) for g, a, b in zip(functions, lo, hi)]

@@ -1,7 +1,7 @@
-"""The sweep grid's stack and the per-sweep point cache: the grid is built as one
-stack, each distinct off-grid value once, and what either returns equals what a
-fresh one-state evaluation computes, exactly.  Deterministic counts only; no
-wall-clock assertions."""
+"""The sweep grid's stack and the lockstep bisection: the grid is built as one
+stack, each halving's distinct midpoints as one more, and what either returns
+equals what a fresh one-state evaluation computes, exactly.  Deterministic
+counts only; no wall-clock assertions."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_PARAMS, record_evaluations, sweep_evaluator
 
 from ptmoments import NumericsError, analysis
-from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
+from ptmoments.analysis import FAMILY_BY_NAME, bisect_sign_change, sweepable_families
 from ptmoments.moments import resolve_criteria, resolve_kmax
 
 # The 101-step sweeps of the golden files: family and fixed parameters.
@@ -42,7 +42,7 @@ def test_fresh_column_evaluation_matches_fresh_full_row(name):
 
 @pytest.fixture
 def traced_sweep(monkeypatch):
-    """run_sweep, recording every value passed to `evaluate`, every
+    """run_sweep, recording every (values, only) passed to `evaluate`, every
     `build_family_state` call and every `build_family_stack` call."""
     evaluations = record_evaluations(monkeypatch)
     builds, stacks = [], []
@@ -60,7 +60,7 @@ def traced_sweep(monkeypatch):
         builds.clear()
         stacks.clear()
         result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
-        return result, [value for value, _, _ in evaluations], builds, stacks
+        return result, [(value, only) for value, only, _ in evaluations], builds, stacks
 
     return sweep
 
@@ -68,16 +68,23 @@ def traced_sweep(monkeypatch):
 @pytest.mark.parametrize("label", GOLDEN_SWEEPS)
 def test_each_distinct_value_is_built_once(traced_sweep, label):
     family, fixed = GOLDEN_SWEEPS[label]
-    result, values, builds, stacks = traced_sweep(family, fixed)
+    result, evaluations, builds, stacks = traced_sweep(family, fixed)
     grid = [row[0] for row in result.rows]
     param = FAMILY_BY_NAME[family].sweep_param
-    # one stack build for the whole grid, then a stack of one per distinct off-grid
-    # value, in the order bisection first reaches it; bisection revisits its grid
-    # endpoints and reads their grid rows, and no state is built any other way
-    off_grid = list(dict.fromkeys(x for x in values if x not in set(grid)))
-    assert [list(params[param]) for _, params in stacks] == [grid, *([x] for x in off_grid)]
+    # one stack build for the whole grid; bisection reads the grid rows at the bracket
+    # ends, then builds one stack per halving (14 halve a 0.01 cell below xtol 1e-6)
+    # holding that halving's distinct midpoints in bracket order; no state is built
+    # any other way, and no midpoint recurs across halvings
+    ends, *halvings = [list(value) for value, _ in evaluations if np.ndim(value)][1:]
+    assert len(halvings) == 14
+    assert set(ends) <= set(grid)
+    distinct = [list(dict.fromkeys(values)) for values in halvings]
+    assert [list(params[param]) for _, params in stacks] == [grid, *distinct]
     assert builds == []
-    assert len(off_grid) < len(values) - len(grid)
+    built = [x for values in distinct for x in values]
+    assert len(set(built)) == len(built)
+    # brackets of two columns in one grid cell halve in step, so their midpoints are built once
+    assert len(built) < sum(map(len, halvings))
 
 
 def test_knoll_base_state_is_built_once_per_sweep(monkeypatch):
@@ -144,6 +151,47 @@ def test_stacked_grid_rows_equal_one_state_evaluations(family, data, ends, steps
         assert str(exc) in expected
         return
     assert [list(stacked(float(x)).values()) for x in grid] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sweepable_families()),
+    data=st.data(),
+    ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+    steps=st.integers(2, 40),
+)
+def test_lockstep_bisection_equals_scalar_bisection_per_bracket(family, data, ends, steps):
+    # every root, in order, is where a scalar bisection of its bracket on a fresh evaluator
+    # without a grid, one state per value, puts it; a failing cross-check (concurrence's, on
+    # some knoll states) fails both, though each may meet a different failing state first
+    fixed = data.draw(FIXED_PARAMS[family])
+
+    def lockstep():
+        return analysis.run_sweep(family, fixed, *ends, steps, criteria=HIGH_ORDER_CRITERIA, kmax=9).sign_changes
+
+    def scalar():
+        _, fresh, floors = sweep_evaluator(family, fixed, HIGH_ORDER_CRITERIA, 9)
+        grid = np.linspace(*ends, steps).tolist()
+        rows = [fresh(x) for x in grid]
+        roots = []
+        for column, floor in floors.items():
+            values = [row[column] - floor for row in rows]
+            for i in range(steps - 1):
+                if (values[i] < 0.0) != (values[i + 1] < 0.0):
+
+                    def f(x, column=column, floor=floor):
+                        return fresh(x, only=column)[column] - floor
+
+                    roots.append((column, bisect_sign_change(f, grid[i], grid[i + 1])))
+        return roots
+
+    outcomes = []
+    for sweep in (lockstep, scalar):
+        try:
+            outcomes.append(sweep())
+        except NumericsError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("name", sweepable_families())
