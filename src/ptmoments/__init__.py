@@ -5,7 +5,6 @@ from .channels import (
     KrausChannel,
     amplitude_damping,
     apply_channel,
-    composite_damping_kraus,
     concurrence,
     ebc_gamma_threshold,
 )
@@ -41,9 +40,6 @@ from .states import (
     bell_phi_plus,
     ghz_white_noise,
     knoll_state,
-    random_density_matrix,
-    random_three_qubit_x_state,
-    random_x_state,
     w_white_noise,
     x_state,
 )
@@ -63,7 +59,6 @@ __all__ = [
     "amplitude_damping",
     "apply_channel",
     "bell_phi_plus",
-    "composite_damping_kraus",
     "concurrence",
     "ebc_gamma_threshold",
     "ghz_white_noise",
@@ -80,9 +75,6 @@ __all__ = [
     "pn_ppt_test",
     "principal_minor",
     "pt_moments",
-    "random_density_matrix",
-    "random_three_qubit_x_state",
-    "random_x_state",
     "three_qubit_x_minors",
     "transpose_subsystem",
     "tripartite_moments",

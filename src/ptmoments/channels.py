@@ -1,6 +1,5 @@
 """Quantum channels and entanglement measures for the noisy-evolution analysis:
-amplitude damping, the composite damping channel of the experimental mixture
-family, Wootters concurrence, and the entanglement-breaking threshold.
+amplitude damping, Wootters concurrence, and the entanglement-breaking threshold.
 """
 
 from __future__ import annotations
@@ -81,51 +80,6 @@ def amplitude_damping(gamma: float) -> KrausChannel:
         K1 = [[0, sqrt(gamma)], [0, 0]]
     """
     return KrausChannel(_amplitude_damping_operators(gamma))
-
-
-def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChannel:
-    """Four-operator channel combining the mixture-preparation map of the
-    damped-pure-state family with a subsequent amplitude damping of strength
-    gamma; omega and eta are the preparation parameters.
-
-    The operators are
-
-        K1 = diag( sqrt((omega + gamma*eta*(1-omega)) / (omega + eta*(1-omega))),
-                   sqrt(omega*(1-gamma) / (omega + gamma*eta*(1-omega))) )
-        K2 = sqrt(eta*(1-gamma)*(1-omega) / (omega + eta*(1-omega)))   at (2,1)
-        K3 = sqrt(gamma)                                               at (1,2)
-        K4 = sqrt(eta*gamma*(1-gamma)*(1-omega) / (omega + gamma*eta*(1-omega)))
-                                                                       at (2,2)
-
-    Completeness holds algebraically for all admissible parameters and is
-    re-verified at construction.  Operators that vanish identically (K3 and
-    K4 at gamma = 0) are dropped.
-    """
-    omega = _check_unit_interval("omega", omega)
-    eta = _check_unit_interval("eta", eta)
-    gamma = _check_unit_interval("gamma", gamma)
-    denom_prep = omega + eta * (1.0 - omega)
-    denom_damped = omega + gamma * eta * (1.0 - omega)
-    if denom_prep == 0.0 or denom_damped == 0.0:
-        raise ValidationError(
-            "degenerate denominator: omega + eta*(1-omega) and "
-            "omega + gamma*eta*(1-omega) must both be nonzero "
-            f"(omega={omega}, eta={eta}, gamma={gamma})"
-        )
-    k1 = np.diag(
-        [
-            np.sqrt(denom_damped / denom_prep),
-            np.sqrt(omega * (1.0 - gamma) / denom_damped),
-        ]
-    ).astype(complex)
-    k2 = np.zeros((2, 2), dtype=complex)
-    k2[1, 0] = np.sqrt(eta * (1.0 - gamma) * (1.0 - omega) / denom_prep)
-    k3 = np.zeros((2, 2), dtype=complex)
-    k3[0, 1] = np.sqrt(gamma)
-    k4 = np.zeros((2, 2), dtype=complex)
-    k4[1, 1] = np.sqrt(eta * gamma * (1.0 - gamma) * (1.0 - omega) / denom_damped)
-    operators = tuple(op for op in (k1, k2, k3, k4) if np.count_nonzero(op))
-    return KrausChannel(operators)
 
 
 def _kraus_sum(state: DensityMatrix, operators, subsystem: int) -> np.ndarray:

@@ -10,7 +10,9 @@ sums of the j x j principal minors of rho^T_s (`moments_from_minor_sums`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,55 +137,36 @@ def hankel(moments: MomentVector, k: int) -> np.ndarray:
     return _hankel_stack(np.array([moments.values]), k)[0]
 
 
-def _moment(p: np.ndarray, k: int) -> np.ndarray:
-    """p_k (one-based) of each row of moments p (n, kmax)."""
-    if p.shape[-1] < k:
-        raise ValidationError(f"moment p_{k} not available (kmax={p.shape[-1]})")
-    return p[:, k - 1]
-
-
-def _power(values: np.ndarray, k: int) -> np.ndarray:
-    """values ** k as Python's float power computes it, element by element: numpy's vectorised
-    power differs from it in the last bit on some inputs, and reports print margins in full."""
-    return np.array([v ** k for v in values.tolist()])
-
-
-def _oppt_thresholds(p2: np.ndarray) -> np.ndarray:
-    """`oppt_threshold` of each p2 of an array, raising what the first failing one raises alone."""
-    inside = (0.0 < p2) & (p2 <= 1.0 + FLOOR_SNAP)
-    if not inside.all():
-        raise ValidationError(f"p_2 must lie in (0, 1], got {p2[inside.argmin()]:.15g}")
-    p2 = np.minimum(p2, 1.0)
-    inverse = 1.0 / p2
-    nearest = np.rint(inverse)  # to even on a tie, as Python's round
-    a = np.where(np.abs(inverse - nearest) <= FLOOR_SNAP, nearest, np.floor(inverse))
-    a_plus_1 = a + 1.0
-    x = (a + np.sqrt(a * (p2 * a_plus_1 - 1.0))) / (a * a_plus_1)
-    return a * _power(x, 3) + _power(1.0 - a * x, 3)
-
-
 def oppt_threshold(p2: float) -> float:
     """The optimal lower bound on p3 over separable states with the given p2.
 
     With a = floor(1/p2) and x = (a + sqrt(a*(p2*(a+1) - 1))) / (a*(a+1)),
     the bound is a*x^3 + (1 - a*x)^3.  It dominates p2^2, with equality
-    exactly when 1/p2 is an integer.
+    exactly when 1/p2 is an integer.  1/p2 must lie below 2^53, where every
+    integer and its successor are exact floats.
     """
-    return float(_oppt_thresholds(np.array([float(p2)]))[0])
+    p2 = float(p2)
+    if not 0.0 < p2 <= 1.0 + FLOOR_SNAP:
+        raise ValidationError(f"p_2 must lie in (0, 1], got {p2:.15g}")
+    p2 = min(p2, 1.0)
+    inverse = 1.0 / p2
+    if not inverse < 2.0 ** 53:
+        raise ValidationError(f"p_2 = {p2:.15g} is too small: the bound needs 1/p_2 below 2^53")
+    nearest = round(inverse)
+    a = float(nearest if abs(inverse - nearest) <= FLOOR_SNAP else math.floor(inverse))
+    x = (a + math.sqrt(a * (p2 * (a + 1.0) - 1.0))) / (a * (a + 1.0))
+    return a * x ** 3 + (1.0 - a * x) ** 3
 
 
 # The criteria's tests, each over moments p (n, kmax): (margins, tolerances), one of each per row.
-# The order-3 tests' absolute tolerance equals the relative one (see `linalg.relative_tolerance`).
 
 
-def _p3_ppt(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    margins = _moment(p, 3) - _power(_moment(p, 2), 2)
-    linalg.check_tolerance(tol)
-    return margins, np.full(len(p), tol)
-
-
-def _p3_oppt(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    margins = _moment(p, 3) - _oppt_thresholds(_moment(p, 2))
+def _p3_test(threshold: Callable, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The order-3 test p3 >= threshold(p2), state by state in Python floats.  Its absolute
+    tolerance equals the relative one (see `linalg.relative_tolerance`)."""
+    if p.shape[-1] < 3:
+        raise ValidationError(f"moment p_3 not available (kmax={p.shape[-1]})")
+    margins = np.array([p3 - threshold(p2) for p2, p3 in p[:, 1:3].tolist()])
     linalg.check_tolerance(tol)
     return margins, np.full(len(p), tol)
 
@@ -233,8 +216,8 @@ def p3_oppt_test(moments: MomentVector, tol: float = linalg.DEFAULT_PSD_TOL) -> 
 _HANKEL_ORDERS = range(5, MAX_KMAX + 1, 2)  # the orders past 3 that MAX_KMAX moments can feed
 
 CRITERIA = {  # by token
-    "p3ppt": Criterion("p3-ppt", 3, _p3_ppt),
-    "p3oppt": Criterion("p3-oppt", 3, _p3_oppt),
+    "p3ppt": Criterion("p3-ppt", 3, partial(_p3_test, lambda p2: p2 ** 2)),
+    "p3oppt": Criterion("p3-oppt", 3, partial(_p3_test, oppt_threshold)),
     **{f"p{n}ppt": _hankel_criterion(n) for n in _HANKEL_ORDERS},
 }
 

@@ -110,16 +110,17 @@ class XStateParams:
             raise ValidationError(
                 f"unit trace violated: rho11+rho22+rho33+rho44 = {total:.15g}"
             )
-        if self.rho22 * self.rho33 + TRACE_ATOL < abs(self.rho23) ** 2:
-            raise ValidationError(
-                "positivity violated: rho22*rho33 >= |rho23|^2 fails "
-                f"({self.rho22 * self.rho33:.6g} < {abs(self.rho23) ** 2:.6g})"
-            )
-        if self.rho11 * self.rho44 + TRACE_ATOL < abs(self.rho14) ** 2:
-            raise ValidationError(
-                "positivity violated: rho11*rho44 >= |rho14|^2 fails "
-                f"({self.rho11 * self.rho44:.6g} < {abs(self.rho14) ** 2:.6g})"
-            )
+        for product, coherence, condition in (
+            (self.rho22 * self.rho33, self.rho23, "rho22*rho33 >= |rho23|^2"),
+            (self.rho11 * self.rho44, self.rho14, "rho11*rho44 >= |rho14|^2"),
+        ):
+            # hypot and a product overflow to inf, where abs() and ** raise OverflowError
+            modulus = math.hypot(coherence.real, coherence.imag)
+            square = modulus * modulus
+            if product + TRACE_ATOL < square:
+                raise ValidationError(
+                    f"positivity violated: {condition} fails ({product:.6g} < {square:.6g})"
+                )
 
     @property
     def diagonals(self) -> tuple[float, float, float, float]:
@@ -208,50 +209,3 @@ def knoll_state(omega: float, eta: float) -> DensityMatrix:
         rho23=0.0,
     )
     return x_state(params)
-
-
-def random_density_matrix(dim: int, seed, dims: tuple[int, ...] | None = None) -> DensityMatrix:
-    """Full-rank random state G G^dag / Tr[G G^dag] with complex Gaussian G.
-
-    `dims` defaults to the all-qubit factorization when dim is a power of two,
-    else a single factor.  Fixed seeds give bit-identical output.
-    """
-    dim = int(dim)
-    if not 1 <= dim <= 8:
-        raise ValidationError(f"dim must lie in 1..8, got {dim}")
-    if dims is None:
-        dims = {2: (2,), 4: (2, 2), 8: (2, 2, 2)}.get(dim, (dim,))
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(m, dims)
-
-
-def random_x_state(seed) -> XStateParams:
-    """Random X-state parameters: diagonals uniform on the simplex, coherences
-    uniform on the discs allowed by the positivity conditions."""
-    rng = np.random.default_rng(seed)
-    d = rng.dirichlet(np.ones(4))
-    rho14 = _random_in_disc(rng, np.sqrt(d[0] * d[3]))
-    rho23 = _random_in_disc(rng, np.sqrt(d[1] * d[2]))
-    return XStateParams(d[0], d[1], d[2], d[3], rho14, rho23)
-
-
-def random_three_qubit_x_state(seed) -> DensityMatrix:
-    """Random 8x8 X-state: nonzero entries on the diagonal and anti-diagonal only."""
-    rng = np.random.default_rng(seed)
-    d = rng.dirichlet(np.ones(8))
-    m = np.diag(d.astype(complex))
-    for i in range(4):
-        j = 7 - i
-        c = _random_in_disc(rng, np.sqrt(d[i] * d[j]))
-        m[i, j] = c
-        m[j, i] = np.conj(c)
-    return DensityMatrix(m, (2, 2, 2))
-
-
-def _random_in_disc(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * np.sqrt(rng.uniform())
-    phase = np.exp(2j * np.pi * rng.uniform())
-    return complex(r * phase)

@@ -4,15 +4,19 @@ Nothing in `ptmoments` calls these: each recomputes a quantity the package
 derives another way (a power trace by repeated multiplication, positivity by
 Sylvester's criterion, the X-state minor identities by full enumeration, a
 channel's action by Kronecker-padded Kraus operators), so the tests can
-compare the two.
+compare the two.  The seeded random states and the composite damping channel,
+whose concurrence must die at `ebc_gamma_threshold`, are test inputs of the
+same kind.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ptmoments import linalg
-from ptmoments.channels import KrausChannel
+from ptmoments.channels import KrausChannel, ebc_gamma_threshold
 from ptmoments.errors import NumericsError, ValidationError
 from ptmoments.linalg import (
     HERMITIAN_ATOL,
@@ -28,7 +32,7 @@ from ptmoments.minors import (
     x_state_key_minors,
 )
 from ptmoments.ptranspose import partial_transpose
-from ptmoments.states import DensityMatrix, XStateParams, x_state
+from ptmoments.states import DensityMatrix, XStateParams, _check_unit_interval, x_state
 
 
 def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
@@ -101,6 +105,109 @@ def kron_apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: i
         full = np.kron(np.kron(np.eye(before), op), np.eye(after))
         out = out + full @ state.matrix @ full.conj().T
     return out
+
+
+def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChannel:
+    """Four-operator channel combining the mixture-preparation map of the
+    damped-pure-state family with a subsequent amplitude damping of strength
+    gamma; omega and eta are the preparation parameters.
+
+    The operators are
+
+        K1 = diag( sqrt((omega + gamma*eta*(1-omega)) / (omega + eta*(1-omega))),
+                   sqrt(omega*(1-gamma) / (omega + gamma*eta*(1-omega))) )
+        K2 = sqrt(eta*(1-gamma)*(1-omega) / (omega + eta*(1-omega)))   at (2,1)
+        K3 = sqrt(gamma)                                               at (1,2)
+        K4 = sqrt(eta*gamma*(1-gamma)*(1-omega) / (omega + gamma*eta*(1-omega)))
+                                                                       at (2,2)
+
+    Completeness holds algebraically for all admissible parameters and is
+    re-verified at construction.  Operators that vanish identically (K3 and
+    K4 at gamma = 0) are dropped.
+    """
+    omega = _check_unit_interval("omega", omega)
+    eta = _check_unit_interval("eta", eta)
+    gamma = _check_unit_interval("gamma", gamma)
+    denom_prep = omega + eta * (1.0 - omega)
+    denom_damped = omega + gamma * eta * (1.0 - omega)
+    if denom_prep == 0.0 or denom_damped == 0.0:
+        raise ValidationError(
+            "degenerate denominator: omega + eta*(1-omega) and "
+            "omega + gamma*eta*(1-omega) must both be nonzero "
+            f"(omega={omega}, eta={eta}, gamma={gamma})"
+        )
+    k1 = np.diag(
+        [
+            np.sqrt(denom_damped / denom_prep),
+            np.sqrt(omega * (1.0 - gamma) / denom_damped),
+        ]
+    ).astype(complex)
+    k2 = np.zeros((2, 2), dtype=complex)
+    k2[1, 0] = np.sqrt(eta * (1.0 - gamma) * (1.0 - omega) / denom_prep)
+    k3 = np.zeros((2, 2), dtype=complex)
+    k3[0, 1] = np.sqrt(gamma)
+    k4 = np.zeros((2, 2), dtype=complex)
+    k4[1, 1] = np.sqrt(eta * gamma * (1.0 - gamma) * (1.0 - omega) / denom_damped)
+    operators = tuple(op for op in (k1, k2, k3, k4) if np.count_nonzero(op))
+    return KrausChannel(operators)
+
+
+def random_density_matrix(dim: int, seed, dims: tuple[int, ...] | None = None) -> DensityMatrix:
+    """Full-rank random state G G^dag / Tr[G G^dag] with complex Gaussian G.
+
+    `dims` defaults to the all-qubit factorization when dim is a power of two,
+    else a single factor.  Fixed seeds give bit-identical output.
+    """
+    dim = int(dim)
+    if not 1 <= dim <= 8:
+        raise ValidationError(f"dim must lie in 1..8, got {dim}")
+    if dims is None:
+        dims = {2: (2,), 4: (2, 2), 8: (2, 2, 2)}.get(dim, (dim,))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return DensityMatrix(m, dims)
+
+
+def random_x_state(seed) -> XStateParams:
+    """Random X-state parameters: diagonals uniform on the simplex, coherences
+    uniform on the discs allowed by the positivity conditions."""
+    rng = np.random.default_rng(seed)
+    d = rng.dirichlet(np.ones(4))
+    rho14 = _random_in_disc(rng, np.sqrt(d[0] * d[3]))
+    rho23 = _random_in_disc(rng, np.sqrt(d[1] * d[2]))
+    return XStateParams(d[0], d[1], d[2], d[3], rho14, rho23)
+
+
+def random_three_qubit_x_state(seed) -> DensityMatrix:
+    """Random 8x8 X-state: nonzero entries on the diagonal and anti-diagonal only."""
+    rng = np.random.default_rng(seed)
+    d = rng.dirichlet(np.ones(8))
+    m = np.diag(d.astype(complex))
+    for i in range(4):
+        j = 7 - i
+        c = _random_in_disc(rng, np.sqrt(d[i] * d[j]))
+        m[i, j] = c
+        m[j, i] = np.conj(c)
+    return DensityMatrix(m, (2, 2, 2))
+
+
+def _random_in_disc(rng: np.random.Generator, radius: float) -> complex:
+    r = radius * np.sqrt(rng.uniform())
+    phase = np.exp(2j * np.pi * rng.uniform())
+    return complex(r * phase)
+
+
+# The exact NPT threshold of each sweepable family in its swept parameter, given the fixed
+# ones.  GHZ: the smallest PT eigenvalue (5 alpha - 4)/8 vanishes at 4/5.  W: the pure state's
+# smallest PT eigenvalue is -sqrt(2)/3 and the family's PT is linear in beta, so it vanishes
+# at 8 sqrt(2) / (3 + 8 sqrt(2)).  Knoll: the entanglement-breaking damping strength.
+NPT_THRESHOLDS = {
+    "ghz-noise": lambda fixed: 4.0 / 5.0,
+    "w-noise": lambda fixed: 8.0 * math.sqrt(2.0) / (3.0 + 8.0 * math.sqrt(2.0)),
+    "knoll": lambda fixed: ebc_gamma_threshold(fixed["omega"], fixed["eta"]),
+}
 
 
 # Margins, thresholds, negativity and concurrence of one state at a time, in Python floats

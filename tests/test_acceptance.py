@@ -15,7 +15,12 @@ from conftest import (
     random_separable_state,
 )
 from oracles import (
+    NPT_THRESHOLDS,
+    composite_damping_kraus,
     psd_via_minors,
+    random_density_matrix,
+    random_three_qubit_x_state,
+    random_x_state,
     three_qubit_full_minor_identity_check,
     x_state_minor_relations_check,
 )
@@ -23,7 +28,6 @@ from oracles import (
 from ptmoments import (
     amplitude_damping,
     apply_channel,
-    composite_damping_kraus,
     concurrence,
     ebc_gamma_threshold,
     ghz_white_noise,
@@ -37,9 +41,6 @@ from ptmoments import (
     pn_ppt_test,
     principal_minor,
     pt_moments,
-    random_density_matrix,
-    random_three_qubit_x_state,
-    random_x_state,
     three_qubit_x_minors,
     transpose_subsystem,
     w_white_noise,
@@ -166,28 +167,34 @@ def test_criterion_3_threshold_reproduction():
     )
 
 
-def _sweep_roots(family, fixed, column):
-    result = run_sweep(family, fixed, 0.0, 1.0, 101)
-    return [root for name, root in result.sign_changes if name == column]
-
-
 def test_criterion_3b_sweep_boundaries_at_closed_form_thresholds():
-    # the sweep's PT-eigenvalue boundary, bisected to 1e-6 in the parameter, against
-    # alpha = 4/5 for GHZ and the entanglement-breaking threshold for each knoll pair
-    # whose threshold lies inside the sweep
-    ghz_roots = _sweep_roots("ghz-noise", {}, "pt_min_eig_A")
-    gaps = {}
+    # the sweep's PT-eigenvalue boundary, and for W its minor boundary, bisected to 1e-6 in
+    # the parameter, against each family's exact NPT threshold: GHZ and W once, knoll at each
+    # pair whose threshold lies inside the sweep
+    cases = [
+        ("ghz-noise", {}, ("pt_min_eig_A",)),
+        ("w-noise", {}, ("pt_min_eig_A", "min_principal_minor")),
+    ]
     for omega in (0.1, 0.12, 0.2, 0.3, 0.5, 0.7, 0.9):
         for eta in (0.05, 0.21, 0.25, 0.5, 0.8, 0.95):
-            threshold = ebc_gamma_threshold(omega, eta)
-            if threshold < 1.0:
-                roots = _sweep_roots("knoll", {"omega": omega, "eta": eta}, "pt_min_eig_A")
-                gaps[omega, eta] = abs(roots[0] - threshold) if len(roots) == 1 else float("inf")
+            if NPT_THRESHOLDS["knoll"]({"omega": omega, "eta": eta}) < 1.0:
+                cases.append(("knoll", {"omega": omega, "eta": eta}, ("pt_min_eig_A",)))
+    gaps = {}
+    for family, fixed, columns in cases:
+        sign_changes = run_sweep(family, fixed, 0.0, 1.0, 101).sign_changes
+        threshold = NPT_THRESHOLDS[family](fixed)
+        for column in columns:
+            roots = [root for name, root in sign_changes if name == column]
+            gap = abs(roots[0] - threshold) if len(roots) == 1 else float("inf")
+            gaps[family, *fixed.values(), column] = gap
+    knoll_pairs = sum(key[0] == "knoll" for key in gaps)
     worst = max(gaps.values())
     _report(
-        "criterion 3b: sweep PT boundaries at the closed-form thresholds (1e-6)",
-        len(ghz_roots) == 1 and abs(ghz_roots[0] - 0.8) <= 1e-6 and len(gaps) == 16 and worst <= 1e-6,
-        f"GHZ roots {ghz_roots}; {len(gaps)} knoll pairs, worst gap {worst:.2e}",
+        "criterion 3b: sweep NPT boundaries at the closed-form thresholds (1e-6)",
+        knoll_pairs == 16 and worst <= 1e-6,
+        f"GHZ gap {gaps['ghz-noise', 'pt_min_eig_A']:.2e}; W gaps {gaps['w-noise', 'pt_min_eig_A']:.2e} "
+        f"(PT) and {gaps['w-noise', 'min_principal_minor']:.2e} (minor); {knoll_pairs} knoll pairs, "
+        f"worst gap {worst:.2e}",
     )
 
 

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import kron_apply_channel
+from oracles import (
+    composite_damping_kraus,
+    kron_apply_channel,
+    random_density_matrix,
+    random_x_state,
+)
 
 from ptmoments import (
     KrausChannel,
@@ -9,15 +14,12 @@ from ptmoments import (
     amplitude_damping,
     apply_channel,
     bell_phi_plus,
-    composite_damping_kraus,
     concurrence,
     ebc_gamma_threshold,
     is_x_pattern,
     knoll_state,
     partial_transpose,
     principal_minor,
-    random_density_matrix,
-    random_x_state,
     x_state,
 )
 from ptmoments.analysis import bisect_sign_change

@@ -303,12 +303,47 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical assertion failure: injected\n"
 
 
+def test_injected_eigenvalue_error_exits_3(monkeypatch, capsys):
+    # the eigenvalue-sum check must still catch a 1e-9 error on a valid state's spectrum
+    real = np.linalg.eigvalsh
+
+    def skewed(a, *args, **kwargs):
+        eigs = real(a, *args, **kwargs)
+        eigs[..., -1] += 1e-9
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
+    assert run(["oracle", "--family", "bell"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical assertion failure: eigenvalue sum 1.000000001 disagrees with trace 1")
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("scale", [1e5, 1e8, 1e12, 1e200, 1e300])
+def test_huge_indefinite_state_exits_2(tmp_path, capsys, dim, scale):
+    # trace-one Hermitian matrices with huge off-diagonal entries are not states; the
+    # eigenvalue-sum check, bounded by the trace instead of the spectral radius, used to
+    # reject some of them with exit 3
+    rng = np.random.default_rng(int(np.log10(scale)) + dim)
+    for k in range(4):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        matrix = (g + g.conj().T) * (scale / 8)
+        np.fill_diagonal(matrix, 0.0)
+        matrix[0, 0] = 1.0
+        path = tmp_path / f"garbage{k}.json"
+        dims = [2] * (dim.bit_length() - 1)
+        path.write_text(json.dumps({"dims": dims, "matrix": [[z.real, z.imag] for z in matrix.ravel()]}))
+        assert run(["oracle", "--file", str(path)]) == 2
+        assert "matrix is not positive semidefinite" in capsys.readouterr().err
+
+
 STATE_FILES = {
     "array": [MIXED4],
     "no-matrix": {"dims": [2, 2]},
     "empty-dims": {"dims": [], "matrix": MIXED4},
 }
 SWEEP_B = ["sweep", "--family", "w-noise", "--range"]
+X_STATE = ["analyze", "--family", "x-state", *(f"--param={d}" for d in ("r11=0.5", "r22=0", "r33=0", "r44=0.5"))]
 
 
 @pytest.mark.parametrize(
@@ -329,11 +364,14 @@ SWEEP_B = ["sweep", "--family", "w-noise", "--range"]
         (["analyze", "--file", "{empty-dims}"], "'dims' must be a nonempty array of integers"),
         (["oracle", "--file", "{missing}"], "cannot read state file "),
         (["analyze", "--family", "knoll", "--param", "omega=0.12"], "family 'knoll' is missing parameter(s): eta"),
+        ([*X_STATE, "--param", "re14=1e308"], "positivity violated: rho11*rho44 >= |rho14|^2 fails"),
+        ([*X_STATE, "--param", "im23=1e200"], "positivity violated: rho22*rho33 >= |rho23|^2 fails"),
     ],
     ids=[
         "param-no-equals", "param-non-numeric", "param-with-file", "range-no-bounds", "range-non-numeric",
         "range-nan", "swept-param-fixed", "step-zero", "step-nan", "steps-one", "file-array",
         "file-no-matrix", "file-empty-dims", "file-missing", "family-missing-param",
+        "x-state-re14-overflow", "x-state-im23-overflow",
     ],
 )
 def test_input_error_messages(tmp_path, capsys, argv, message):

@@ -5,6 +5,9 @@ import pytest
 from conftest import batched_ginibre, random_hermitian, random_psd
 from oracles import (
     psd_via_minors,
+    random_density_matrix,
+    random_three_qubit_x_state,
+    random_x_state,
     three_qubit_full_minor_identity_check,
     x_state_minor_relations_check,
 )
@@ -21,9 +24,6 @@ from ptmoments import (
     is_x_pattern,
     partial_transpose,
     principal_minor,
-    random_density_matrix,
-    random_three_qubit_x_state,
-    random_x_state,
     three_qubit_x_minors,
     transpose_subsystem,
     w_white_noise,

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_separable_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_density_matrix, random_x_state
 
 from ptmoments import (
     MomentVector,
@@ -23,8 +24,6 @@ from ptmoments import (
     partial_transpose,
     pn_ppt_test,
     pt_moments,
-    random_density_matrix,
-    random_x_state,
     tripartite_moments,
     w_white_noise,
     x_state,
@@ -204,6 +203,11 @@ class TestCriteria:
             oppt_threshold(0.0)
         with pytest.raises(ValidationError):
             oppt_threshold(1.1)
+        # 1/p2 at or past 2^53 (or overflowing to inf) leaves no exact floor; it used to give nan
+        for p2 in (1e-300, 1e-310, 2.0 ** -53):
+            with pytest.raises(ValidationError, match=f"p_2 = {p2:.15g} is too small"):
+                oppt_threshold(p2)
+        assert oppt_threshold(2.0 ** -52) == pytest.approx(2.0 ** -104, rel=1e-12)
 
     def test_oppt_soundness_direction_on_x_states(self):
         # a violated optimal order-3 criterion must imply NPT, never the reverse

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from conftest import batched_ginibre
+from oracles import random_density_matrix, random_x_state
 
 from ptmoments import (
     ValidationError,
@@ -11,8 +12,6 @@ from ptmoments import (
     ghz_white_noise,
     negativity,
     partial_transpose,
-    random_density_matrix,
-    random_x_state,
     transpose_subsystem,
     w_white_noise,
     x_state,

@@ -1,6 +1,7 @@
-"""The public names of `ptmoments`, so none is added or dropped unnoticed, and the
-modules it loads at run time."""
+"""The public names of `ptmoments`, so none is added or dropped unnoticed, the
+modules it loads at run time, and its private helpers, each of which something uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ptmoments
-from ptmoments import linalg, minors
+from ptmoments import channels, linalg, minors, states
 
 PUBLIC_NAMES = [
     "CriterionVerdict",
@@ -24,7 +25,6 @@ PUBLIC_NAMES = [
     "amplitude_damping",
     "apply_channel",
     "bell_phi_plus",
-    "composite_damping_kraus",
     "concurrence",
     "ebc_gamma_threshold",
     "ghz_white_noise",
@@ -41,9 +41,6 @@ PUBLIC_NAMES = [
     "pn_ppt_test",
     "principal_minor",
     "pt_moments",
-    "random_density_matrix",
-    "random_three_qubit_x_state",
-    "random_x_state",
     "three_qubit_x_minors",
     "transpose_subsystem",
     "tripartite_moments",
@@ -53,25 +50,31 @@ PUBLIC_NAMES = [
     "x_state_moments_closed_form",
 ]
 
-# Reference checks that only the tests use; they live in tests/oracles.py.
+# Reference checks and seeded inputs that only the tests use; they live in tests/oracles.py.
 TEST_ORACLES = [
+    "composite_damping_kraus",
     "determinant",
     "is_hermitian",
     "matrix_power_trace",
     "psd_via_minors",
+    "random_density_matrix",
+    "random_three_qubit_x_state",
+    "random_x_state",
     "three_qubit_full_minor_identity_check",
     "x_state_minor_relations_check",
 ]
 
 
 def test_public_names_are_exactly_the_expected_ones():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(ptmoments.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ptmoments, name) is not None
 
 
-@pytest.mark.parametrize("module", [ptmoments, linalg, minors], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [ptmoments, channels, linalg, minors, states], ids=lambda m: m.__name__
+)
 def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ORACLES if hasattr(module, name)] == []
 
@@ -89,3 +92,44 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
     ).stdout.split()
     assert "ptmoments" in loaded
     assert set(loaded) - set(sys.stdlib_module_names) <= {"numpy", "ptmoments"}
+
+
+SOURCES = sorted(Path(ptmoments.__file__).parent.glob("*.py"))
+
+
+def _top_level_private_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(tree: ast.Module) -> list[str]:
+    """Every name the module reads, as a bare name, an attribute or an imported name."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs += [alias.name for alias in node.names]
+    return refs
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a private helper that nothing in src/ reads is dead code: its callers are gone
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = {ref for tree in trees.values() for ref in _references(tree)}
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _top_level_private_names(tree)
+        if name not in used
+    ]
+    assert len(trees) >= 10
+    assert unused == []

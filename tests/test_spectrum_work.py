@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import SAMPLE_PARAMS, sweep_evaluator
+from oracles import random_density_matrix
 
-from ptmoments import analysis, bell_phi_plus, ghz_white_noise, random_density_matrix
+from ptmoments import analysis, bell_phi_plus, ghz_white_noise
 from ptmoments.analysis import FAMILY_BY_NAME, build_family_state, sweepable_families
 from ptmoments.ptranspose import partial_transpose
 

@@ -91,6 +91,29 @@ def test_family_stacks_match_each_row_alone(name):
         assert matrix_concurrence(matrices).tolist() == [one_state_concurrence(m) for m in matrices]
 
 
+def _snap_point_p2() -> np.ndarray:
+    """p2 at and around the floor's snap points 1/k: 1, 1/2, 1/3 and 1/4 and 2e-12 either side
+    of them, and 20 float neighbours either side of 1/2 .. 1/7."""
+    values = [v + d for v in (1.0, 1 / 2, 1 / 3, 1 / 4) for d in (0.0, -2e-12, 2e-12, -1e-12, 1e-12)]
+    for k in range(2, 8):
+        up = down = 1.0 / k
+        for _ in range(20):
+            up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+            values += [up, down]
+    return np.array([v for v in values if v <= 1.0])
+
+
+def test_order_3_margins_match_each_row_alone_at_the_snap_points():
+    rng = np.random.default_rng(17)
+    p2 = np.concatenate([_snap_point_p2(), rng.uniform(1 / 8, 1.0, 2000)])
+    p = np.column_stack([np.ones(len(p2)), p2, rng.uniform(0.0, 1.0, len(p2))])
+    for token in ("p3ppt", "p3oppt"):
+        margins, tolerances = CRITERIA[token].test(p, TOL)
+        assert list(zip(margins.tolist(), tolerances.tolist())) == one_state_margins(token, p.tolist()), token
+        verdicts = [CRITERIA[token].verdict(row, TOL) for row in p[:200]]
+        assert [v.margin for v in verdicts] == margins[:200].tolist()
+
+
 def _raised(call) -> str:
     with pytest.raises((ValidationError, NumericsError)) as info:
         call()

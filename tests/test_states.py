@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import batched_ginibre
+from oracles import random_density_matrix, random_three_qubit_x_state, random_x_state
 
 from ptmoments import (
     DensityMatrix,
@@ -13,9 +14,6 @@ from ptmoments import (
     ghz_white_noise,
     hermitian_eigenvalues,
     knoll_state,
-    random_density_matrix,
-    random_three_qubit_x_state,
-    random_x_state,
     w_white_noise,
     x_state,
 )
@@ -69,6 +67,20 @@ class TestXState:
             XStateParams(0.5, 0.0, 0.0, 0.5, rho23=0.3)
         with pytest.raises(ValidationError, match=r"rho11\*rho44"):
             XStateParams(0.5, 0.0, 0.0, 0.5, rho14=0.7)
+
+    @pytest.mark.parametrize(
+        "coherences,condition",
+        [
+            ({"rho14": 1e200}, r"rho11\*rho44 >= \|rho14\|\^2 fails \(0.25 < inf\)"),
+            ({"rho14": 1e308}, r"rho11\*rho44"),
+            ({"rho14": complex(1.7e308, 1.7e308)}, r"rho11\*rho44"),
+            ({"rho23": 1e200j}, r"rho22\*rho33 >= \|rho23\|\^2 fails \(0 < inf\)"),
+        ],
+    )
+    def test_overflowing_coherence_is_a_positivity_violation(self, coherences, condition):
+        # squaring a coherence above about 1.3e154 used to raise OverflowError
+        with pytest.raises(ValidationError, match=condition):
+            XStateParams(0.5, 0.0, 0.0, 0.5, **coherences)
 
 
 class TestWhiteNoiseFamilies:
