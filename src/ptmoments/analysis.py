@@ -409,34 +409,24 @@ class SweepResult:
     sign_changes: list[tuple[str, float]]
 
 
-def bisect_sign_change(f, lo, hi, xtol: float = 1e-6):
-    """Locate where f changes sign in [lo, hi] by bisection, with the sweep grid's
-    sign test f(x) < 0.0: an exact zero counts as non-negative, as on the grid.
+def bisect_sign_change(f, lo, hi, lo_negative, xtol: float = 1e-6) -> np.ndarray:
+    """Roots of the brackets [lo[i], hi[i]], halved in lockstep, whose two ends differ in the
+    sweep grid's sign test value < 0.0, an exact zero counting as non-negative; lo_negative[i]
+    is that test at lo[i], as the grid scan found it.
 
-    `lo` and `hi` may also be arrays of brackets, halved in lockstep: then f(x, brackets)
-    maps the midpoints x of the brackets still wider than xtol, whose indices are `brackets`,
-    to their values at once, and the array of roots is returned.  Each bracket stops once its
-    own width is at most xtol, after at most BISECT_MAX_ITER halvings."""
-    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-    values = (lambda x, brackets: np.array([f(float(x[0]))])) if single else f
-    every = np.arange(len(lo))
-    # f gets copies of the ends, which the halvings below overwrite in place
-    lo_negative = values(lo.copy(), every) < 0.0
-    flat = np.flatnonzero(lo_negative == (values(hi.copy(), every) < 0.0))
-    if flat.size:
-        k = flat[0]
-        raise ValidationError(f"no sign change of {f} in [{float(lo[k])}, {float(hi[k])}]")
+    f(x, brackets) maps the midpoints x of the brackets still wider than xtol, whose indices
+    are `brackets`, to their values at once; f is called at midpoints only.  Each bracket stops
+    once its own width is at most xtol, after at most BISECT_MAX_ITER halvings."""
+    lo, hi, lo_negative = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(lo_negative)
     for _ in range(BISECT_MAX_ITER):
         live = np.flatnonzero(hi - lo > xtol)
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        keeps_sign = (values(mid, live) < 0.0) == lo_negative[live]
+        keeps_sign = (f(mid, live) < 0.0) == lo_negative[live]
         lo[live] = np.where(keeps_sign, mid, lo[live])
         hi[live] = np.where(keeps_sign, hi[live], mid)
-    roots = 0.5 * (lo + hi)
-    return float(roots[0]) if single else roots
+    return 0.5 * (lo + hi)
 
 
 def _sweep_evaluator(
@@ -445,9 +435,10 @@ def _sweep_evaluator(
     """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
     table of column groups, which declares each column once; `criteria` maps each token to its
     `moments.Criterion`.  Every group computes its columns for a whole `_Points` stack at once.
-    The grid's rows are computed here from one record of all its states; the other values of
-    each `evaluate` call get one record of their own, a stack from the same builder, and each
-    group is computed on the part of it that asks for that group's columns."""
+    The grid's rows are computed here from one record of all its states, and `evaluate(x)` reads
+    them.  `evaluate(values, names)`, the bisection's call, builds its values as one record of
+    their own, a stack from the same builder, and computes each group on the part of it that
+    asks for that group's columns."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
@@ -483,38 +474,25 @@ def _sweep_evaluator(
         fill(grid_rows, record(grid_values), groups)
     grid_row = dict(zip(grid_values, grid_rows))
 
-    def column_values(values, names) -> np.ndarray:
-        """Column names[i] at values[i] for each i.  Grid values read their grid rows.  The
-        distinct other values are built as one record, and each group is computed only at
-        the values that ask for one of its columns."""
-        values = [float(x) for x in values]
-        row_at = {x: grid_row.get(x) for x in values}
-        new = [x for x, row in row_at.items() if row is None]
-        if new:
-            points = record(new)
-            position = {x: i for i, x in enumerate(new)}
-            asking: dict[ColumnGroup, set[int]] = {}  # each group -> the positions asking for it
-            for x, c in zip(values, names):
-                if x in position and c in group_of:
-                    asking.setdefault(group_of[c], set()).add(position[x])
-            row_at.update((x, {param: x}) for x in new)
-            for group in groups:
-                if group in asking:
-                    taken = sorted(asking[group])
-                    fill([row_at[new[i]] for i in taken], points.take(taken), [group])
-        return np.array([row_at[x][c] for x, c in zip(values, names)])
-
-    def evaluate(values, only=None):
-        """The row at one parameter value, every column or, with `only`, that column alone; or,
-        for an array of values and a sequence `only` of one column name per value, the array of
-        those columns' values (`column_values`)."""
-        if np.ndim(values):
-            return column_values(values, only)
-        names = columns if only is None else [only]
-        row = grid_row.get(values)
-        if row is None:
-            row = dict(zip(names, column_values([values] * len(names), names).tolist()))
-        return {c: row[c] for c in names}
+    def evaluate(x, names=None):
+        """The grid row at the grid value x; or, for an array x of values and one column name
+        per value, the array of names[i] at x[i].  The distinct values are built as one record,
+        and each group is computed only at the values that ask for its columns."""
+        if names is None:
+            return grid_row[x]
+        values = [float(v) for v in x]
+        new = list(dict.fromkeys(values))
+        position = {x: i for i, x in enumerate(new)}
+        rows = [{} for _ in new]
+        asking: dict[ColumnGroup, set[int]] = {}  # each group -> the positions asking for it
+        for x, c in zip(values, names):
+            asking.setdefault(group_of[c], set()).add(position[x])
+        points = record(new)
+        for group in groups:
+            if group in asking:
+                taken = sorted(asking[group])
+                fill([rows[i] for i in taken], points.take(taken), [group])
+        return np.array([rows[position[x]][c] for x, c in zip(values, names)])
 
     return columns, evaluate, floors
 
@@ -536,11 +514,11 @@ def run_sweep(
     `minors.MINOR_BLOCK` states; each column is computed for the whole stack
     at once.  Sign changes of every margin, minor, and oracle column are
     refined by bisection to 1e-6 in the parameter, all brackets in lockstep:
-    the endpoints read the grid rows, and each halving builds the distinct
-    midpoints of the brackets still open as one stack from the family's
-    builder, which builds the grid too, and computes each column only at the
-    midpoints of the brackets that refine it.  A column counts as negative
-    where value - floor < 0.0, on the grid and in the bisection alike.
+    each bracket's end signs come from the grid scan, and each halving builds
+    the distinct midpoints of the brackets still open as one stack from the
+    family's builder, which builds the grid too, and computes each column only
+    at the midpoints of the brackets that refine it.  A column counts as
+    negative where value - floor < 0.0, on the grid and in the bisection alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:
@@ -564,20 +542,23 @@ def run_sweep(
     table = [evaluate(float(x)) for x in grid]
     rows = [[row[c] for c in columns] for row in table]
 
-    # Every (column, grid cell) whose sign test differs at its two ends, column by column.
-    names, cells = [], []
+    # Every (column, grid cell) whose sign test differs at its two ends, column by column,
+    # with the test at the cell's lower end.
+    names, cells, lo_negative = [], [], []
     for column, floor in floors.items():
         negative = np.array([row[column] - floor < 0.0 for row in table])
-        crossings = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
+        crossings = np.flatnonzero(negative[1:] != negative[:-1])
         names += [column] * len(crossings)
-        cells += crossings
+        cells += crossings.tolist()
+        lo_negative += negative[crossings].tolist()
     roots = []
     if cells:
         offsets = np.array([floors[c] for c in names])
         roots = bisect_sign_change(
-            lambda x, brackets: evaluate(x, only=[names[k] for k in brackets]) - offsets[brackets],
+            lambda x, brackets: evaluate(x, [names[k] for k in brackets]) - offsets[brackets],
             grid[cells],
             grid[np.add(cells, 1)],
+            lo_negative,
             xtol=1e-6,
         ).tolist()
     return SweepResult(columns=columns, rows=rows, sign_changes=list(zip(names, roots)))

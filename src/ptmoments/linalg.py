@@ -90,19 +90,20 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     every entry must be finite.  Each matrix's eigenvalue sum must match its trace within
     `relative_tolerance(eigs, 1e-10)`: `eigvalsh` is backward stable, so each eigenvalue is off
     by at most about d * eps * max |eig|, and the sum of d of them by d^2 * eps * max |eig|,
-    under 1.5e-14 * max |eig| for d <= 8."""
+    under 1.5e-14 * max |eig| for d <= 8.  Both are divided by max(1, max |eig|) first, which
+    leaves the bound 1e-10 and keeps the sum of a huge spectrum from overflowing; the divisor
+    is 1 for every state and partial transpose."""
     m = assert_hermitian(matrix)
     check_finite(m)
     eigs = np.linalg.eigvalsh(m)
-    sums, traces = eigs.sum(-1), m.trace(0, -2, -1).real
-    residuals = np.abs(sums - traces)
-    if residuals.max() <= 1e-10:  # within every bound, as each is at least 1e-10
-        return eigs
-    failing = residuals > relative_tolerance(eigs, 1e-10)
+    scale = np.maximum(1.0, np.abs(eigs).max(-1))
+    sums, traces = (eigs / scale[..., None]).sum(-1), m.trace(0, -2, -1).real / scale
+    failing = np.abs(sums - traces) > 1e-10
     if failing.any():
         k = failing.argmax()
+        c = float(scale.flat[k])  # Python floats: a product past the float range is inf, no warning
         raise NumericsError(
-            f"eigenvalue sum {sums.flat[k]:.15g} disagrees with trace {traces.flat[k]:.15g}"
+            f"eigenvalue sum {float(sums.flat[k]) * c:.15g} disagrees with trace {float(traces.flat[k]) * c:.15g}"
         )
     return eigs
 

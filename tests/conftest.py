@@ -57,31 +57,38 @@ def batched_ginibre(rng: np.random.Generator, count: int, dim: int) -> np.ndarra
 
 
 def sweep_evaluator(
-    name: str, fixed: dict | None = None, criteria: str | None = None, kmax: int | None = None
+    name: str, fixed: dict | None = None, criteria: str | None = None, kmax: int | None = None, grid=()
 ):
-    """(columns, evaluate, floors) of a fresh sweep of family `name` at its SAMPLE_PARAMS, or at
-    `fixed`, with the default or given criteria and kmax, tolerance 1e-10, and no grid: every
-    value gets a one-state record."""
+    """(columns, evaluate, floors) of a fresh sweep of family `name` over `grid`, by default
+    none, at its SAMPLE_PARAMS or at `fixed`, with the default or given criteria and kmax and
+    tolerance 1e-10."""
     family = analysis.FAMILY_BY_NAME[name]
     if fixed is None:
         fixed = {k: v for k, v in SAMPLE_PARAMS[name].items() if k != family.sweep_param}
     kmax = resolve_kmax(family.factors, kmax)
-    return analysis._sweep_evaluator(family, fixed, resolve_criteria(criteria, kmax), kmax, 1e-10, ())
+    return analysis._sweep_evaluator(family, fixed, resolve_criteria(criteria, kmax), kmax, 1e-10, grid)
+
+
+def fresh_row(name: str, x: float, fixed: dict | None = None, criteria: str | None = None, kmax=None) -> dict:
+    """The row at `x` of a fresh sweep whose grid is [x] alone, one state computed as a stack
+    of one; the other arguments are those of `sweep_evaluator`."""
+    _, evaluate, _ = sweep_evaluator(name, fixed, criteria, kmax, [x])
+    return evaluate(x)
 
 
 def record_evaluations(monkeypatch) -> list:
     """Patch `analysis._sweep_evaluator` so that every call of the `evaluate` it
-    builds appends (value, only, row) to the list returned here."""
+    builds appends (values, names, result) to the list returned here."""
     calls = []
     real_evaluator = analysis._sweep_evaluator
 
     def recording_evaluator(*args, **kwargs):
         columns, evaluate, floors = real_evaluator(*args, **kwargs)
 
-        def recording_evaluate(value, only=None):
-            row = evaluate(value, only=only)
-            calls.append((value, only, row))
-            return row
+        def recording_evaluate(values, names=None):
+            result = evaluate(values, names)
+            calls.append((values, names, result))
+            return result
 
         return columns, recording_evaluate, floors
 

@@ -3,10 +3,10 @@
 Nothing in `ptmoments` calls these: each recomputes a quantity the package
 derives another way (a power trace by repeated multiplication, positivity by
 Sylvester's criterion, the X-state minor identities by full enumeration, a
-channel's action by Kronecker-padded Kraus operators), so the tests can
-compare the two.  The seeded random states and the composite damping channel,
-whose concurrence must die at `ebc_gamma_threshold`, are test inputs of the
-same kind.
+channel's action by Kronecker-padded Kraus operators, a sign change by
+one-bracket bisection of a scalar function), so the tests can compare the two.
+The seeded random states and the composite damping channel, whose concurrence
+must die at `ebc_gamma_threshold`, are test inputs of the same kind.
 """
 
 from __future__ import annotations
@@ -150,6 +150,25 @@ def composite_damping_kraus(omega: float, eta: float, gamma: float) -> KrausChan
     k4[1, 1] = np.sqrt(eta * gamma * (1.0 - gamma) * (1.0 - omega) / denom_damped)
     operators = tuple(op for op in (k1, k2, k3, k4) if np.count_nonzero(op))
     return KrausChannel(operators)
+
+
+def bisect_root(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
+    """Where the scalar function f changes sign in [lo, hi], by plain bisection with the sweep's
+    sign test f(x) < 0.0, an exact zero counting as non-negative.  Both ends are read here and
+    must differ in that test; the bracket is halved until it is at most xtol wide, at most 200
+    times, and its midpoint returned."""
+    lo_negative = f(lo) < 0.0
+    if lo_negative == (f(hi) < 0.0):
+        raise ValueError(f"no sign change in [{lo}, {hi}]")
+    for _ in range(200):
+        if hi - lo <= xtol:
+            break
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def random_density_matrix(dim: int, seed, dims: tuple[int, ...] | None = None) -> DensityMatrix:

@@ -16,6 +16,7 @@ from conftest import (
 )
 from oracles import (
     NPT_THRESHOLDS,
+    bisect_root,
     composite_damping_kraus,
     psd_via_minors,
     random_density_matrix,
@@ -47,7 +48,7 @@ from ptmoments import (
     x_state,
     x_state_moments_closed_form,
 )
-from ptmoments.analysis import bisect_sign_change, format_float, run_sweep
+from ptmoments.analysis import format_float, run_sweep
 from ptmoments.cli import main as cli_main
 
 GHZ_POLYNOMIALS = (
@@ -125,20 +126,20 @@ def _pt_min_eig(builder, value):
 
 
 def test_criterion_3_threshold_reproduction():
-    ghz_b1 = bisect_sign_change(lambda a: _hankel_margin(ghz_white_noise, a, 1), 0.5, 0.75)
-    ghz_b2 = bisect_sign_change(lambda a: _hankel_margin(ghz_white_noise, a, 2), 0.7, 0.9)
-    ghz_ppt = bisect_sign_change(lambda a: _pt_min_eig(ghz_white_noise, a), 0.7, 0.9)
-    w_b1 = bisect_sign_change(lambda b: _hankel_margin(w_white_noise, b, 1), 0.5, 0.7)
-    w_b2 = bisect_sign_change(lambda b: _hankel_margin(w_white_noise, b, 2), 0.7, 0.85)
-    w_ppt = bisect_sign_change(lambda b: _pt_min_eig(w_white_noise, b), 0.7, 0.85)
+    ghz_b1 = bisect_root(lambda a: _hankel_margin(ghz_white_noise, a, 1), 0.5, 0.75)
+    ghz_b2 = bisect_root(lambda a: _hankel_margin(ghz_white_noise, a, 2), 0.7, 0.9)
+    ghz_ppt = bisect_root(lambda a: _pt_min_eig(ghz_white_noise, a), 0.7, 0.9)
+    w_b1 = bisect_root(lambda b: _hankel_margin(w_white_noise, b, 1), 0.5, 0.7)
+    w_b2 = bisect_root(lambda b: _hankel_margin(w_white_noise, b, 2), 0.7, 0.85)
+    w_ppt = bisect_root(lambda b: _pt_min_eig(w_white_noise, b), 0.7, 0.85)
 
     base = knoll_state(0.12, 0.21)
 
     def evolved(gamma):
         return apply_channel(base, amplitude_damping(gamma), 1)
 
-    knoll_conc = bisect_sign_change(lambda g: concurrence(evolved(g)) - 1e-12, 0.4, 0.9)
-    knoll_minor = bisect_sign_change(
+    knoll_conc = bisect_root(lambda g: concurrence(evolved(g)) - 1e-12, 0.4, 0.9)
+    knoll_minor = bisect_root(
         lambda g: principal_minor(partial_transpose(evolved(g), 0), (2, 3)), 0.4, 0.9
     )
     knoll_formula = ebc_gamma_threshold(0.12, 0.21)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    bisect_root,
     composite_damping_kraus,
     kron_apply_channel,
     random_density_matrix,
@@ -22,7 +23,6 @@ from ptmoments import (
     principal_minor,
     x_state,
 )
-from ptmoments.analysis import bisect_sign_change
 
 KNOLL_POINT = (0.12, 0.21)
 # omega / (eta * (1 - omega)) at the published operating point
@@ -80,7 +80,7 @@ class TestCompositeChannel:
             out = apply_channel(bell, composite_damping_kraus(omega, eta, gamma), 1)
             return concurrence(out) - 1e-12
 
-        root = bisect_sign_change(bell_conc, 0.4, 0.9, xtol=1e-8)
+        root = bisect_root(bell_conc, 0.4, 0.9, xtol=1e-8)
         assert root == pytest.approx(KNOLL_GAMMA_STAR, abs=1e-6)
 
 
@@ -205,7 +205,7 @@ class TestBreakingThreshold:
                     out = apply_channel(state, amplitude_damping(gamma), 1)
                     return concurrence(out) - 1e-12
 
-                root = bisect_sign_change(evolved_conc, 0.0, 1.0, xtol=1e-6)
+                root = bisect_root(evolved_conc, 0.0, 1.0, xtol=1e-6)
                 assert root == pytest.approx(ebc_gamma_threshold(omega, eta), abs=1e-5)
 
     def test_threshold_matches_minor_sign_change(self):
@@ -217,7 +217,7 @@ class TestBreakingThreshold:
             return principal_minor(partial_transpose(out, 0), (2, 3))
 
         # gamma = 1 is itself a root (fully damped), so bracket away from it
-        root = bisect_sign_change(minor_23, 0.0, 0.95, xtol=1e-6)
+        root = bisect_root(minor_23, 0.0, 0.95, xtol=1e-6)
         assert root == pytest.approx(KNOLL_GAMMA_STAR, abs=1e-5)
 
         # minor {1,4} stays positive along the evolution

@@ -319,11 +319,11 @@ def test_injected_eigenvalue_error_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("dim", [4, 8])
-@pytest.mark.parametrize("scale", [1e5, 1e8, 1e12, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e5, 1e8, 1e12, 1e200, 1e300, 1e308])
 def test_huge_indefinite_state_exits_2(tmp_path, capsys, dim, scale):
     # trace-one Hermitian matrices with huge off-diagonal entries are not states; the
     # eigenvalue-sum check, bounded by the trace instead of the spectral radius, used to
-    # reject some of them with exit 3
+    # reject some of them with exit 3, and at 1e308 the sum of 8 eigenvalues overflowed
     rng = np.random.default_rng(int(np.log10(scale)) + dim)
     for k in range(4):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -336,6 +336,21 @@ def test_huge_indefinite_state_exits_2(tmp_path, capsys, dim, scale):
         assert run(["oracle", "--file", str(path)]) == 2
         assert "matrix is not positive semidefinite" in capsys.readouterr().err
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["oracle", "analyze"])
+def test_overflowing_eigenvalue_sum_exits_2(tmp_path, capsys, command):
+    # the eigenvalues +-1e308 of this trace-one matrix sum past the float range; the sum check
+    # divides them by their largest magnitude first, so the PSD check rejects the file
+    matrix = np.zeros((4, 4))
+    matrix[0, 0] = 1.0
+    matrix[0, 3] = matrix[3, 0] = 1e308
+    matrix[1, 2] = matrix[2, 1] = -1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[z, 0.0] for z in matrix.ravel().tolist()]}))
+    assert run([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: matrix is not positive semidefinite: min eigenvalue -1.000e+308\n"
 
 STATE_FILES = {
     "array": [MIXED4],

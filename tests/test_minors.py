@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import batched_ginibre, random_hermitian, random_psd
 from oracles import (
+    bisect_root,
     psd_via_minors,
     random_density_matrix,
     random_three_qubit_x_state,
@@ -243,16 +244,14 @@ class TestThreeQubitX:
             assert three_qubit_full_minor_identity_check(random_three_qubit_x_state(seed))
 
     def test_ghz_single_negative_minor_matches_negativity_boundary(self):
-        from ptmoments.analysis import bisect_sign_change
-
         for alpha in np.linspace(0.0, 0.99, 34):
             m18, m27, m36, m45 = three_qubit_x_minors(ghz_white_noise(alpha))
             assert min(m18, m27, m36) >= -1e-12
             assert (m45 < -1e-12) == (alpha < 0.8 - 1e-9)
-        minor_root = bisect_sign_change(
+        minor_root = bisect_root(
             lambda a: three_qubit_x_minors(ghz_white_noise(a))[3], 0.5, 0.99, xtol=1e-8
         )
-        negativity_root = bisect_sign_change(
+        negativity_root = bisect_root(
             lambda a: np.linalg.eigvalsh(partial_transpose(ghz_white_noise(a), 0))[0],
             0.5,
             0.99,
@@ -327,7 +326,7 @@ def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "transpose_subsystem", counting)
     family = analysis.FAMILY_BY_NAME["knoll"]
-    for grid in ((), (0.0, 0.4, 1.0)):
+    for grid in ((0.4,), (0.0, 0.4, 1.0)):
         subsystems.clear()
         columns, evaluate, _ = analysis._sweep_evaluator(
             family, {"omega": 0.12, "eta": 0.21}, resolve_criteria(None, 6), 6, 1e-10, grid

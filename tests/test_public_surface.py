@@ -52,6 +52,7 @@ PUBLIC_NAMES = [
 
 # Reference checks and seeded inputs that only the tests use; they live in tests/oracles.py.
 TEST_ORACLES = [
+    "bisect_root",
     "composite_damping_kraus",
     "determinant",
     "is_hermitian",

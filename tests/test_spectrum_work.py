@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import SAMPLE_PARAMS, sweep_evaluator
+from conftest import SAMPLE_PARAMS, fresh_row
 from oracles import random_density_matrix
 
 from ptmoments import analysis, bell_phi_plus, ghz_white_noise
-from ptmoments.analysis import FAMILY_BY_NAME, build_family_state, sweepable_families
+from ptmoments.analysis import FAMILY_BY_NAME, build_family_state
 from ptmoments.ptranspose import partial_transpose
 
 
@@ -50,24 +50,12 @@ def test_report_eigendecompositions(eig_inputs, make, analyze_eigs, oracle_eigs)
 
 @pytest.mark.parametrize("name,spectra", [("w-noise", 3), ("ghz-noise", 3), ("knoll", 1)])
 def test_sweep_row_pt_spectra(eig_inputs, name, spectra):
-    _, evaluate, _ = sweep_evaluator(name)
     param = FAMILY_BY_NAME[name].sweep_param
     state = build_family_state(name, {**SAMPLE_PARAMS[name], param: 0.4})
     pts = {partial_transpose(state, s).tobytes() for s in range(state.num_factors)}
     eig_inputs.clear()
-    evaluate(0.4)
+    fresh_row(name, 0.4)
     assert sum(a.tobytes() in pts for a in eig_inputs) == spectra
-
-
-@pytest.mark.parametrize("name", sweepable_families())
-def test_column_evaluation_matches_full_row(name):
-    # one evaluator: a column asked for after its full row is served from the
-    # point cache and must repeat the row's value
-    columns, evaluate, floors = sweep_evaluator(name)
-    for x in (0.05, 0.4, 0.77, 0.95):
-        row = evaluate(x)
-        for column in floors:
-            assert evaluate(x, only=column) == {column: row[column]}
 
 
 def test_family_records():

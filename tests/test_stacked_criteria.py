@@ -77,8 +77,6 @@ def test_random_stacks_match_each_row_alone(seed, dims, rank, n):
     assert_each_row_as_alone(_Points(matrices, dims, KMAX))
     if dims == (2, 2):
         assert matrix_concurrence(matrices).tolist() == [one_state_concurrence(m) for m in matrices]
-    if dims == (2, 2):
-        assert matrix_concurrence(matrices).tolist() == [one_state_concurrence(m) for m in matrices]
 
 
 @pytest.mark.parametrize("name", FAMILY_STACKS)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import SAMPLE_PARAMS, record_evaluations, sweep_evaluator
+from conftest import SAMPLE_PARAMS, fresh_row, record_evaluations, sweep_evaluator
+from oracles import bisect_root
 
 from ptmoments import NumericsError, analysis
-from ptmoments.analysis import FAMILY_BY_NAME, bisect_sign_change, sweepable_families
-from ptmoments.moments import resolve_criteria, resolve_kmax
+from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
 
 # The 101-step sweeps of the golden files: family and fixed parameters.
 GOLDEN_SWEEPS = {
@@ -32,17 +32,16 @@ def test_fresh_column_evaluation_matches_fresh_full_row(name):
     columns, _, floors = sweep_evaluator(name)
     assert set(floors) <= set(columns)
     for x in (0.05, 0.4, 0.77, 0.95):
+        row = fresh_row(name, x)
+        assert list(row) == columns
         for column in floors:
-            _, full, _ = sweep_evaluator(name)
             _, single, _ = sweep_evaluator(name)
-            row = full(x)
-            assert set(row) == set(columns)
-            assert single(x, only=column) == {column: row[column]}
+            assert single(np.array([x]), [column]).tolist() == [row[column]]
 
 
 @pytest.fixture
 def traced_sweep(monkeypatch):
-    """run_sweep, recording every (values, only) passed to `evaluate`, every
+    """run_sweep, recording every (values, names) passed to `evaluate`, every
     `build_family_state` call and every `build_family_stack` call."""
     evaluations = record_evaluations(monkeypatch)
     builds, stacks = [], []
@@ -60,7 +59,7 @@ def traced_sweep(monkeypatch):
         builds.clear()
         stacks.clear()
         result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
-        return result, [(value, only) for value, only, _ in evaluations], builds, stacks
+        return result, [(value, names) for value, names, _ in evaluations], builds, stacks
 
     return sweep
 
@@ -71,13 +70,12 @@ def test_each_distinct_value_is_built_once(traced_sweep, label):
     result, evaluations, builds, stacks = traced_sweep(family, fixed)
     grid = [row[0] for row in result.rows]
     param = FAMILY_BY_NAME[family].sweep_param
-    # one stack build for the whole grid; bisection reads the grid rows at the bracket
-    # ends, then builds one stack per halving (14 halve a 0.01 cell below xtol 1e-6)
+    # one stack build for the whole grid; bisection takes each bracket's end signs from the
+    # grid scan, then builds one stack per halving (14 halve a 0.01 cell below xtol 1e-6)
     # holding that halving's distinct midpoints in bracket order; no state is built
     # any other way, and no midpoint recurs across halvings
-    ends, *halvings = [list(value) for value, _ in evaluations if np.ndim(value)][1:]
+    halvings = [list(value) for value, _ in evaluations if np.ndim(value)]
     assert len(halvings) == 14
-    assert set(ends) <= set(grid)
     distinct = [list(dict.fromkeys(values)) for values in halvings]
     assert [list(params[param]) for _, params in stacks] == [grid, *distinct]
     assert builds == []
@@ -106,12 +104,8 @@ def test_knoll_base_state_is_built_once_per_sweep(monkeypatch):
 def test_sweep_rows_equal_fresh_evaluations(label):
     family, fixed = GOLDEN_SWEEPS[label]
     result = analysis.run_sweep(family, fixed, 0.0, 1.0, 101)
-    record = FAMILY_BY_NAME[family]
-    kmax = resolve_kmax(record.factors, None)
-    criteria = resolve_criteria(None, kmax)
     for row in result.rows:
-        _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, kmax, 1e-10, ())
-        assert [fresh(row[0])[c] for c in result.columns] == row
+        assert list(fresh_row(family, row[0], fixed).values()) == row
 
 
 FIXED_PARAMS = {  # a strategy for the fixed parameters of each sweepable family
@@ -133,20 +127,17 @@ def test_stacked_grid_rows_equal_one_state_evaluations(family, data, ends, steps
     # the grid's stack and a fresh one-state record compute every column bit for bit
     # alike, and a failing cross-check (concurrence's, on some knoll states) fails alike
     fixed = data.draw(FIXED_PARAMS[family])
-    record = FAMILY_BY_NAME[family]
-    criteria = resolve_criteria(HIGH_ORDER_CRITERIA, 9)
     grid = np.linspace(*ends, steps)
 
     def one_state(x):
-        _, fresh, _ = analysis._sweep_evaluator(record, fixed, criteria, 9, 1e-10, ())
         try:
-            return list(fresh(x).values())
+            return list(fresh_row(family, x, fixed, HIGH_ORDER_CRITERIA, 9).values())
         except NumericsError as exc:
             return str(exc)
 
     expected = [one_state(float(x)) for x in grid]
     try:
-        _, stacked, _ = analysis._sweep_evaluator(record, fixed, criteria, 9, 1e-10, grid)
+        _, stacked, _ = sweep_evaluator(family, fixed, HIGH_ORDER_CRITERIA, 9, grid)
     except NumericsError as exc:
         assert str(exc) in expected
         return
@@ -161,18 +152,19 @@ def test_stacked_grid_rows_equal_one_state_evaluations(family, data, ends, steps
     steps=st.integers(2, 40),
 )
 def test_lockstep_bisection_equals_scalar_bisection_per_bracket(family, data, ends, steps):
-    # every root, in order, is where a scalar bisection of its bracket on a fresh evaluator
-    # without a grid, one state per value, puts it; a failing cross-check (concurrence's, on
-    # some knoll states) fails both, though each may meet a different failing state first
+    # every root, in order, is where a scalar bisection of its bracket, reading that column
+    # alone on a fresh evaluator without a grid, one state per value, puts it; a failing
+    # cross-check (concurrence's, on some knoll states) fails both, though each may meet a
+    # different failing state first
     fixed = data.draw(FIXED_PARAMS[family])
 
     def lockstep():
         return analysis.run_sweep(family, fixed, *ends, steps, criteria=HIGH_ORDER_CRITERIA, kmax=9).sign_changes
 
     def scalar():
-        _, fresh, floors = sweep_evaluator(family, fixed, HIGH_ORDER_CRITERIA, 9)
         grid = np.linspace(*ends, steps).tolist()
-        rows = [fresh(x) for x in grid]
+        rows = [fresh_row(family, x, fixed, HIGH_ORDER_CRITERIA, 9) for x in grid]
+        _, fresh, floors = sweep_evaluator(family, fixed, HIGH_ORDER_CRITERIA, 9)
         roots = []
         for column, floor in floors.items():
             values = [row[column] - floor for row in rows]
@@ -180,9 +172,9 @@ def test_lockstep_bisection_equals_scalar_bisection_per_bracket(family, data, en
                 if (values[i] < 0.0) != (values[i + 1] < 0.0):
 
                     def f(x, column=column, floor=floor):
-                        return fresh(x, only=column)[column] - floor
+                        return fresh(np.array([x]), [column])[0] - floor
 
-                    roots.append((column, bisect_sign_change(f, grid[i], grid[i + 1])))
+                    roots.append((column, bisect_root(f, grid[i], grid[i + 1])))
         return roots
 
     outcomes = []

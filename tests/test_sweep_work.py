@@ -33,16 +33,12 @@ def traced_numpy(monkeypatch):
 
 
 def bisection_calls(evaluations, grid):
-    """The sweep's `evaluate` calls, checked: one full row per grid point, then the lower and
-    upper bracket ends, which read grid rows, then one call per halving, each with one column
-    per live bracket at off-grid midpoints.  Returns [(values, columns)] of the halvings."""
-    full_rows = [(value, only) for value, only, _ in evaluations if np.ndim(value) == 0]
+    """The sweep's `evaluate` calls, checked: one full row per grid point, then one call per
+    halving, each with one column per live bracket at off-grid midpoints; no call reads a
+    bracket end.  Returns [(values, columns)] of the halvings."""
+    full_rows = [(value, names) for value, names, _ in evaluations if np.ndim(value) == 0]
     assert full_rows == [(x, None) for x in grid]
-    (lows, names, _), (highs, high_names, _), *halvings = [
-        (list(value), list(only), row) for value, only, row in evaluations if np.ndim(value)
-    ]
-    assert names == high_names
-    assert set(lows) | set(highs) <= set(grid)
+    halvings = [(list(value), list(names), row) for value, names, row in evaluations if np.ndim(value)]
     assert all(set(values).isdisjoint(grid) for values, _, _ in halvings)
     assert all(len(row) == len(values) for values, _, row in halvings)
     return [(values, columns) for values, columns, _ in halvings]
