@@ -10,7 +10,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from .ptranspose import negativity_from_spectrum, transpose_subsystem
 from .states import (
     DensityMatrix,
     XStateParams,
-    bell_phi_plus,
+    bell_phi_plus_matrix,
     density_matrix_spectra,
     ghz_noise_matrices,
-    knoll_state,
+    knoll_matrix,
     w_noise_matrices,
-    x_state,
+    x_state_matrix,
 )
 
 SUBSYSTEM_NAMES = "ABCDEFGH"
@@ -54,43 +54,30 @@ BISECT_MAX_ITER = 200
 # Named families
 
 
-@functools.lru_cache(maxsize=1)
-def _knoll_base(omega: float, eta: float) -> DensityMatrix:
-    """knoll_state(omega, eta), kept for the next call: a knoll sweep damps one fixed
-    base state at every point, and a DensityMatrix is immutable, so its points share it."""
-    return knoll_state(omega, eta)
-
-
 def _knoll_matrices(params: dict) -> np.ndarray:
-    # -0.0 + 0.0 is 0.0: the cache takes both zeros for one key, so both must build one state.
-    base = _knoll_base(params["omega"] + 0.0, params["eta"] + 0.0)
+    # -0.0 + 0.0 is 0.0: omega or eta given as -0.0 builds the state of 0.0, so a report
+    # prints one matrix for both zeros where the -0.0 state would print -0.0 entries.
+    base = knoll_matrix(params["omega"] + 0.0, params["eta"] + 0.0)
     gamma = params.get("gamma")
     # The undamped base keeps its own matrix: damping at gamma = 0 would turn its -0.0
     # imaginary parts into 0.0, which reports print.
-    return base.matrix if gamma is None else amplitude_damped_matrices(base, gamma, 1)
+    return base if gamma is None else amplitude_damped_matrices(base, (2, 2), gamma, 1)
 
 
-def _x_state_matrix(params: dict[str, float]) -> np.ndarray:
-    return x_state(
-        XStateParams(
-            rho11=params["r11"],
-            rho22=params["r22"],
-            rho33=params["r33"],
-            rho44=params["r44"],
-            rho14=complex(params.get("re14", 0.0), params.get("im14", 0.0)),
-            rho23=complex(params.get("re23", 0.0), params.get("im23", 0.0)),
-        )
-    ).matrix
+def _x_family_matrix(params: dict[str, float]) -> np.ndarray:
+    rho14, rho23 = (complex(params.get(f"re{k}", 0.0), params.get(f"im{k}", 0.0)) for k in (14, 23))
+    diagonals = (params["r11"], params["r22"], params["r33"], params["r44"])
+    return x_state_matrix(XStateParams(*diagonals, rho14, rho23))
 
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Sweep columns one function of a `_Points` record computes together, as one row of
-    values per state, and the floor their sweep boundaries cross, or None where no boundary
-    is located."""
+    """Sweep columns one function of a `_Points` record computes together, as a float array
+    (n, len(names)) of one row per state, and the floor their sweep boundaries cross, or None
+    where no boundary is located."""
 
     names: tuple[str, ...]
-    compute: Callable[[_Points], Sequence[Sequence[float]]]
+    compute: Callable[[_Points], np.ndarray]
     floor: float | None = 0.0
 
 
@@ -98,14 +85,14 @@ class ColumnGroup:
 # call time, so a substitute bound to those names sees every call.
 X_MINORS = {  # by matrix dimension: the X-form pair minors, named minor_<i><j>
     dim: ColumnGroup(tuple(f"minor_{i}{j}" for i, j in pairs),
-                     lambda points: x_pair_minor_stack(points.pt(0)).tolist())
+                     lambda points: x_pair_minor_stack(points.pt(0)))
     for dim, pairs in X_PAIR_LABELS.items()
 }
 MIN_PT_MINOR = ColumnGroup(
-    ("min_principal_minor",), lambda points: min_principal_minors(points.pt(0))[:, None].tolist()
+    ("min_principal_minor",), lambda points: min_principal_minors(points.pt(0))[:, None]
 )
 CONCURRENCE_COLUMN = ColumnGroup(
-    ("concurrence",), lambda points: matrix_concurrence(points.matrices)[:, None].tolist(),
+    ("concurrence",), lambda points: matrix_concurrence(points.matrices)[:, None],
     floor=CONCURRENCE_FLOOR,
 )
 
@@ -120,7 +107,8 @@ class Family:
     """A named state family, its one builder and its report's literature note; a sweepable
     family also names its swept parameter and its sweep's minor columns.  `build` returns the
     unvalidated matrix (d, d) when every parameter is a float, and the stack (n, d, d) of one
-    matrix per value when the swept one is an array of n values."""
+    matrix per value when the swept one is an array of n values; `build_family_state` and
+    `build_family_stack` validate what it returns, once."""
 
     name: str
     build: Callable[[dict], np.ndarray]
@@ -134,7 +122,7 @@ class Family:
 
 FAMILY_BY_NAME = {
     family.name: family for family in (
-        Family("bell", lambda params: bell_phi_plus().matrix),
+        Family("bell", lambda params: bell_phi_plus_matrix()),
         Family("ghz-noise", lambda params: ghz_noise_matrices(params["alpha"]), ("alpha",), factors=3,
                sweep_param="alpha", minor_columns=(X_MINORS[8],),
                literature={_GME: {"alpha_max": 0.571, "status": _QUOTED}}),
@@ -144,7 +132,7 @@ FAMILY_BY_NAME = {
         Family("knoll", _knoll_matrices, ("omega", "eta"), ("gamma",),
                sweep_param="gamma", minor_columns=(X_MINORS[4], CONCURRENCE_COLUMN)),
         Family(
-            "x-state", _x_state_matrix, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
+            "x-state", _x_family_matrix, ("r11", "r22", "r33", "r44"), ("re14", "im14", "re23", "im23")
         ),
     )
 }
@@ -178,7 +166,8 @@ def _family_for(family: str, params: dict) -> Family:
 
 
 def build_family_state(family: str, params: dict[str, float]) -> DensityMatrix:
-    """Construct a named-family state, validating parameter names."""
+    """Construct a named-family state, validating parameter names; its builder's matrix is
+    validated here, once."""
     record = _family_for(family, params)
     return DensityMatrix(record.build(params), (2,) * record.factors)
 
@@ -320,7 +309,7 @@ class _Points:
 def _key_minors_block(state: DensityMatrix, point: _Points) -> dict:
     if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
         group = X_MINORS[state.dim]
-        return dict(zip(group.names, group.compute(point)[0]))
+        return dict(zip(group.names, group.compute(point)[0].tolist()))
     if state.dim <= minors.MAX_ENUMERATION_DIM:
         report = all_principal_minors(point.pt(0)[0])
         return {
@@ -435,22 +424,20 @@ def _sweep_evaluator(
     """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
     table of column groups, which declares each column once; `criteria` maps each token to its
     `moments.Criterion`.  Every group computes its columns for a whole `_Points` stack at once.
-    The grid's rows are computed here from one record of all its states, and `evaluate(x)` reads
-    them.  `evaluate(values, names)`, the bisection's call, builds its values as one record of
-    their own, a stack from the same builder, and computes each group on the part of it that
-    asks for that group's columns."""
+    The grid's float table (len(grid), len(columns)) is computed here from one record of all
+    its states, and `evaluate(x)` reads it.  `evaluate(values, names)`, the bisection's call,
+    builds its values as one record of their own, a stack from the same builder, and computes
+    each group on the part of it that asks for that group's columns."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
-                    lambda points: points.criteria_moments()[0].tolist(), floor=None),
+                    lambda points: points.criteria_moments()[0], floor=None),
         *(ColumnGroup((f"{t}_margin",),
-                      lambda points, test=criterion.test:
-                          test(points.criteria_moments()[0], tol)[0][:, None].tolist())
+                      lambda points, test=criterion.test: test(points.criteria_moments()[0], tol)[0][:, None])
           for t, criterion in criteria.items()),
         ColumnGroup(("negativity_A",),
-                    lambda points: negativity_from_spectrum(points.spectrum(0), tol)[:, None].tolist(),
-                    floor=None),
-        ColumnGroup(("pt_min_eig_A",), lambda points: points.spectrum(0)[:, :1].tolist()),
+                    lambda points: negativity_from_spectrum(points.spectrum(0), tol)[:, None], floor=None),
+        ColumnGroup(("pt_min_eig_A",), lambda points: points.spectrum(0)[:, :1]),
         *family.minor_columns,
     ]
     group_of = {name: group for group in groups for name in group.names}
@@ -458,41 +445,37 @@ def _sweep_evaluator(
     # Columns whose zero crossings get refined by bisection, each mapped to the floor it crosses.
     floors = {name: group.floor for name, group in group_of.items() if group.floor is not None}
 
-    def fill(rows: list[dict[str, float]], points: _Points, wanted) -> None:
-        for group in wanted:
-            for row, computed in zip(rows, group.compute(points)):
-                row.update(zip(group.names, computed))
-
-    def record(values: list[float]) -> _Points:
+    def record(values) -> _Points:
         """The record of the states at `values` of the swept parameter, one validated stack."""
         matrices = build_family_stack(family.name, {**fixed, param: np.array(values)})
         return _Points(matrices, (2,) * family.factors, kmax)
 
-    grid_values = [float(x) for x in grid]
-    grid_rows = [{param: x} for x in grid_values]
-    if grid_rows:
-        fill(grid_rows, record(grid_values), groups)
-    grid_row = dict(zip(grid_values, grid_rows))
+    grid = np.array(grid, dtype=float)
+    if grid.size:
+        points = record(grid)
+        table = np.column_stack([grid, *(group.compute(points) for group in groups)])
+    row_of = {x: i for i, x in enumerate(grid.tolist())}
 
     def evaluate(x, names=None):
-        """The grid row at the grid value x; or, for an array x of values and one column name
-        per value, the array of names[i] at x[i].  The distinct values are built as one record,
-        and each group is computed only at the values that ask for its columns."""
+        """The table's row at the grid value x, as a list in column order: a read kept as one
+        call per grid row because perfbench counts grid evaluations by these calls.  Or, for an
+        array x of values and one column name per value, the array of names[i] at x[i]: the
+        distinct values are built as one record, in first-seen order, and each group is
+        computed only at the values that ask for its columns."""
         if names is None:
-            return grid_row[x]
+            return table[row_of[x]].tolist()
         values = [float(v) for v in x]
-        new = list(dict.fromkeys(values))
-        position = {x: i for i, x in enumerate(new)}
-        rows = [{} for _ in new]
-        asking: dict[ColumnGroup, set[int]] = {}  # each group -> the positions asking for it
-        for x, c in zip(values, names):
-            asking.setdefault(group_of[c], set()).add(position[x])
-        points = record(new)
+        position = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        points, out = record(list(position)), np.empty(len(values))
         for group in groups:
-            if group in asking:
-                taken = sorted(asking[group])
-                fill([rows[i] for i in taken], points.take(taken), [group])
-        return np.array([rows[position[x]][c] for x, c in zip(values, names)])
+            asking = [i for i, c in enumerate(names) if group_of[c] is group]
+            if asking:
+                taken = sorted({position[values[i]] for i in asking})
+                row = {p: r for r, p in enumerate(taken)}
+                block = group.compute(points.take(taken))
+                out[asking] = block[[row[position[values[i]]] for i in asking],
+                                    [group.names.index(names[i]) for i in asking]]
+        return out
 
     return columns, evaluate, floors
 
@@ -509,16 +492,18 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate a family over a parameter grid and locate criterion boundaries.
 
-    The grid's states are built, validated, partially transposed and
+    The grid's states are built, validated once, partially transposed and
     diagonalised as one stack, and their minors enumerated in blocks of
     `minors.MINOR_BLOCK` states; each column is computed for the whole stack
-    at once.  Sign changes of every margin, minor, and oracle column are
-    refined by bisection to 1e-6 in the parameter, all brackets in lockstep:
-    each bracket's end signs come from the grid scan, and each halving builds
-    the distinct midpoints of the brackets still open as one stack from the
-    family's builder, which builds the grid too, and computes each column only
-    at the midpoints of the brackets that refine it.  A column counts as
-    negative where value - floor < 0.0, on the grid and in the bisection alike.
+    at once, into one float table of a row per grid point.  Sign changes of
+    every margin, minor, and oracle column are found by one comparison of
+    adjacent rows of that table and refined by bisection to 1e-6 in the
+    parameter, all brackets in lockstep: each bracket's end signs come from
+    the grid scan, and each halving builds the distinct midpoints of the
+    brackets still open as one stack from the family's builder, which builds
+    the grid too, and computes each column only at the midpoints of the
+    brackets that refine it.  A column counts as negative where
+    value - floor < 0.0, on the grid and in the bisection alike.
     """
     record = FAMILY_BY_NAME.get(family)
     if record is None or record.sweep_param is None:
@@ -539,26 +524,21 @@ def run_sweep(
     criteria = resolve_criteria(criteria, kmax)
     grid = np.linspace(lo, hi, count)
     columns, evaluate, floors = _sweep_evaluator(record, fixed, criteria, kmax, tol, grid)
-    table = [evaluate(float(x)) for x in grid]
-    rows = [[row[c] for c in columns] for row in table]
+    rows = [evaluate(float(x)) for x in grid]
 
     # Every (column, grid cell) whose sign test differs at its two ends, column by column,
     # with the test at the cell's lower end.
-    names, cells, lo_negative = [], [], []
-    for column, floor in floors.items():
-        negative = np.array([row[column] - floor < 0.0 for row in table])
-        crossings = np.flatnonzero(negative[1:] != negative[:-1])
-        names += [column] * len(crossings)
-        cells += crossings.tolist()
-        lo_negative += negative[crossings].tolist()
+    bounded, offsets = list(floors), np.array(list(floors.values()))
+    negative = np.array(rows)[:, [columns.index(c) for c in bounded]] - offsets < 0.0
+    which, cells = np.nonzero((negative[1:] != negative[:-1]).T)
+    names = [bounded[k] for k in which]
     roots = []
-    if cells:
-        offsets = np.array([floors[c] for c in names])
+    if cells.size:
         roots = bisect_sign_change(
-            lambda x, brackets: evaluate(x, [names[k] for k in brackets]) - offsets[brackets],
+            lambda x, brackets: evaluate(x, [names[k] for k in brackets]) - offsets[which[brackets]],
             grid[cells],
-            grid[np.add(cells, 1)],
-            lo_negative,
+            grid[cells + 1],
+            negative[cells, which],
             xtol=1e-6,
         ).tolist()
     return SweepResult(columns=columns, rows=rows, sign_changes=list(zip(names, roots)))

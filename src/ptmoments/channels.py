@@ -52,7 +52,7 @@ def _check_trace_preserving(ops: tuple[np.ndarray, ...]) -> None:
     unless sum K^dag K equals the identity within 1e-11 for each channel."""
     total = sum(op.conj().swapaxes(-1, -2) @ op for op in ops)
     defects = np.abs(total - np.eye(ops[0].shape[-1])).max(axis=(-2, -1))
-    failing = defects > COMPLETENESS_ATOL
+    failing = ~(defects <= COMPLETENESS_ATOL)  # a NaN defect fails too
     if failing.any():
         raise ValidationError(
             f"Kraus operators are not trace preserving: "
@@ -82,45 +82,46 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     return KrausChannel(_amplitude_damping_operators(gamma))
 
 
-def _kraus_sum(state: DensityMatrix, operators, subsystem: int) -> np.ndarray:
-    """sum_i (I x K_i x I) rho (...)^dag, unvalidated, for Kraus operators (d, d) or stacks
-    (n, d, d) of them, giving (dim, dim) or one output per stack entry, (n, dim, dim)."""
-    if not 0 <= subsystem < state.num_factors:
+def _kraus_sum(matrix: np.ndarray, dims: tuple[int, ...], operators, subsystem: int) -> np.ndarray:
+    """sum_i (I x K_i x I) rho (...)^dag of the matrix rho (dim, dim) with factors `dims`,
+    unvalidated, for Kraus operators (d, d) or stacks (n, d, d) of them, giving (dim, dim) or
+    one output per stack entry, (n, dim, dim)."""
+    if not 0 <= subsystem < len(dims):
         raise ValidationError(
-            f"subsystem index {subsystem} out of range for {state.num_factors} factors"
+            f"subsystem index {subsystem} out of range for {len(dims)} factors"
         )
     d = operators[0].shape[-1]
-    if d != state.dims[subsystem]:
+    if d != dims[subsystem]:
         raise ValidationError(
             f"channel dimension {d} does not match factor dimension "
-            f"{state.dims[subsystem]}"
+            f"{dims[subsystem]}"
         )
     # Row and column indices split as (before, d, after) around the factor: K acts on the
     # middle axis of the rows, then conj(K) on the middle axis of the columns.
-    dim = state.dim
-    before = math.prod(state.dims[:subsystem])
+    dim = matrix.shape[-1]
+    before = math.prod(dims[:subsystem])
     after = dim // (before * d)
     batch = operators[0].shape[:-2]
     out = np.zeros(batch + (dim, dim), dtype=complex)
     for op in operators:
         op = op[..., None, :, :]
-        left = op @ state.matrix.reshape(before, d, after * dim)
+        left = op @ matrix.reshape(before, d, after * dim)
         out = out + (op.conj() @ left.reshape(*batch, dim * before, d, after)).reshape(out.shape)
     return out
 
 
 def apply_channel(state: DensityMatrix, channel: KrausChannel, subsystem: int) -> DensityMatrix:
     """Apply a channel to one tensor factor: sum_i (I x K_i x I) rho (...)^dag."""
-    return DensityMatrix(_kraus_sum(state, channel.operators, subsystem), state.dims)
+    return DensityMatrix(_kraus_sum(state.matrix, state.dims, channel.operators, subsystem), state.dims)
 
 
-def amplitude_damped_matrices(state: DensityMatrix, gammas, subsystem: int) -> np.ndarray:
-    """Unvalidated `state` after amplitude damping of one factor: (dim, dim) for a float gamma,
-    or a stack (n, dim, dim) for an array of n gammas, `apply_channel`'s arithmetic on a stack
-    of Kraus pairs."""
+def amplitude_damped_matrices(matrix: np.ndarray, dims: tuple[int, ...], gammas, subsystem: int) -> np.ndarray:
+    """Unvalidated `matrix`, with factors `dims`, after amplitude damping of one factor:
+    (dim, dim) for a float gamma, or a stack (n, dim, dim) for an array of n gammas,
+    `apply_channel`'s arithmetic on a stack of Kraus pairs."""
     operators = _amplitude_damping_operators(gammas)
     _check_trace_preserving(operators)
-    return _kraus_sum(state, operators, subsystem)
+    return _kraus_sum(matrix, dims, operators, subsystem)
 
 
 def _x_closed_form_concurrence(m: np.ndarray) -> np.ndarray:
@@ -165,7 +166,7 @@ def matrix_concurrence(m: np.ndarray) -> np.ndarray:
     if not x_form.any():
         return values
     closed = _x_closed_form_concurrence(m)
-    failing = x_form & (np.abs(values - closed) > 1e-10)
+    failing = x_form & ~(np.abs(values - closed) <= 1e-10)
     if failing.any():
         k = failing.argmax()
         raise NumericsError(

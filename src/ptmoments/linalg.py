@@ -37,7 +37,8 @@ def assert_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Return the matrix or stack (..., d, d), or raise naming the worst-violating entry
     pair of the first matrix that fails.
 
-    A NaN defect passes, as it compares false; `hermitian_eigenvalues` rejects it."""
+    A NaN defect passes, as it compares false, on purpose: every caller checks finiteness right
+    after it, `hermitian_eigenvalues` of the entries and the minor functions of the minors."""
     m = as_square_matrix(matrix, stack=True)
     dev = np.abs(m - m.conj().swapaxes(-1, -2))
     if dev.max() <= atol:
@@ -90,17 +91,20 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     every entry must be finite.  Each matrix's eigenvalue sum must match its trace within
     `relative_tolerance(eigs, 1e-10)`: `eigvalsh` is backward stable, so each eigenvalue is off
     by at most about d * eps * max |eig|, and the sum of d of them by d^2 * eps * max |eig|,
-    under 1.5e-14 * max |eig| for d <= 8.  Both are divided by max(1, max |eig|) first, which
-    leaves the bound 1e-10 and keeps the sum of a huge spectrum from overflowing; the divisor
-    is 1 for every state and partial transpose."""
+    under 1.5e-14 * max |eig| for d <= 8.  The eigenvalues and the diagonal are divided by
+    max(1, max |eig|) before either is summed, which leaves the bound 1e-10 and keeps both sums
+    of a huge matrix from overflowing; the divisor is 1 for every state and partial transpose.
+    A NaN residual fails the check, as from an eigenvalue past the float range (inf / inf)."""
     m = assert_hermitian(matrix)
     check_finite(m)
     eigs = np.linalg.eigvalsh(m)
-    scale = np.maximum(1.0, np.abs(eigs).max(-1))
-    sums, traces = (eigs / scale[..., None]).sum(-1), m.trace(0, -2, -1).real / scale
-    failing = np.abs(sums - traces) > 1e-10
-    if failing.any():
-        k = failing.argmax()
+    scale = np.maximum(1.0, np.abs(eigs).max(-1))[..., None]
+    with np.errstate(invalid="ignore"):
+        sums = (eigs / scale).sum(-1)
+    traces = (m.diagonal(0, -2, -1).real / scale).sum(-1)
+    agree = np.abs(sums - traces) <= 1e-10
+    if not agree.all():
+        k = agree.argmin()
         c = float(scale.flat[k])  # Python floats: a product past the float range is inf, no warning
         raise NumericsError(
             f"eigenvalue sum {float(sums.flat[k]) * c:.15g} disagrees with trace {float(traces.flat[k]) * c:.15g}"

@@ -32,16 +32,19 @@ MAX_KMAX = 32
 
 
 def check_moments(p: np.ndarray, dim: int | None) -> np.ndarray:
-    """Return the moments p (n, kmax), one row p_1..p_kmax per state, once each row has p_1 = 1
-    within 1e-12 and, where `dim` is given, p_2 in [1/dim, 1] within 1e-10; otherwise raise what
-    the first failing row raises as a `MomentVector`."""
-    p1_bad = np.abs(p[:, 0] - 1.0) > 1e-12
-    failing = p1_bad
+    """Return the moments p (n, kmax), one row p_1..p_kmax per state, once each row is finite,
+    has p_1 = 1 within 1e-12 and, where `dim` is given, p_2 in [1/dim, 1] within 1e-10;
+    otherwise raise what the first failing row raises as a `MomentVector`."""
+    ok = np.isfinite(p).all(axis=1) & (np.abs(p[:, 0] - 1.0) <= 1e-12)
     if dim is not None and p.shape[1] >= 2:
-        failing = p1_bad | ~((1.0 / dim - 1e-10 <= p[:, 1]) & (p[:, 1] <= 1.0 + 1e-10))
-    if failing.any():
-        k = failing.argmax()
-        if p1_bad[k]:
+        ok &= (1.0 / dim - 1e-10 <= p[:, 1]) & (p[:, 1] <= 1.0 + 1e-10)
+    if not ok.all():
+        k = ok.argmin()
+        finite = np.isfinite(p[k])
+        if not finite.all():
+            j = finite.argmin()
+            raise ValidationError(f"moment p_{j + 1} = {p[k, j]} is not finite")
+        if not abs(p[k, 0] - 1.0) <= 1e-12:
             raise ValidationError(f"p_1 must equal 1 (trace), got {p[k, 0]:.15g}")
         raise ValidationError(f"p_2 = {p[k, 1]:.15g} outside [1/{dim}, 1]")
     return p

@@ -21,14 +21,15 @@ TRACE_ATOL = 1e-12
 
 def density_matrix_spectra(matrices: np.ndarray) -> np.ndarray:
     """The density-matrix invariant over a stack (n, d, d), checked on each matrix alone: finite
-    entries, unit trace (1e-12), Hermiticity (1e-12), an eigenvalue sum matching the trace, and
-    positive semidefiniteness (relative 1e-10).  Returns the ascending spectra, shape (n, d); the
-    first failing matrix raises what it would raise alone."""
+    entries, a finite unit trace (1e-12), Hermiticity (1e-12), an eigenvalue sum matching the
+    trace, and positive semidefiniteness (relative 1e-10).  Returns the ascending spectra, shape
+    (n, d); the first failing matrix raises what it would raise alone."""
     linalg.check_finite(matrices)
-    traces = matrices.trace(0, -2, -1)
-    defects = np.abs(traces - 1.0)
-    if defects.max() > TRACE_ATOL:
-        raise ValidationError(f"trace must be 1, got {complex(traces[defects.argmax()]):.15g}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range fails below
+        traces = matrices.trace(0, -2, -1)
+    unit = np.abs(traces - 1.0) <= TRACE_ATOL  # false for a NaN or infinite trace
+    if not unit.all():
+        raise ValidationError(f"trace must be 1, got {complex(traces[unit.argmin()]):.15g}")
     eigs = linalg.hermitian_eigenvalues(matrices)
     psd = eigs[:, 0] >= -linalg.relative_tolerance(eigs, linalg.DEFAULT_PSD_TOL)
     if not psd.all():
@@ -95,18 +96,14 @@ class XStateParams:
     def __post_init__(self):
         object.__setattr__(self, "rho14", complex(self.rho14))
         object.__setattr__(self, "rho23", complex(self.rho23))
-        diag = {
-            "rho11": float(self.rho11),
-            "rho22": float(self.rho22),
-            "rho33": float(self.rho33),
-            "rho44": float(self.rho44),
-        }
-        for name, value in diag.items():
+        # Each test is written so that NaN fails it.
+        for name in ("rho11", "rho22", "rho33", "rho44"):
+            value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if value < -TRACE_ATOL:
+            if not value >= -TRACE_ATOL:
                 raise ValidationError(f"diagonal {name} must be non-negative, got {value}")
-        total = sum(diag.values())
-        if abs(total - 1.0) > TRACE_ATOL:
+        total = sum(self.diagonals)
+        if not abs(total - 1.0) <= TRACE_ATOL:
             raise ValidationError(
                 f"unit trace violated: rho11+rho22+rho33+rho44 = {total:.15g}"
             )
@@ -117,7 +114,7 @@ class XStateParams:
             # hypot and a product overflow to inf, where abs() and ** raise OverflowError
             modulus = math.hypot(coherence.real, coherence.imag)
             square = modulus * modulus
-            if product + TRACE_ATOL < square:
+            if not product + TRACE_ATOL >= square:
                 raise ValidationError(
                     f"positivity violated: {condition} fails ({product:.6g} < {square:.6g})"
                 )
@@ -136,22 +133,32 @@ def _check_unit_interval(name: str, value):
     return values if values.ndim else float(values)
 
 
-def bell_phi_plus() -> DensityMatrix:
-    """Projector onto (|00> + |11>)/sqrt(2)."""
+def bell_phi_plus_matrix() -> np.ndarray:
+    """Unvalidated matrix of bell_phi_plus()."""
     ket = np.zeros(4, dtype=complex)
     ket[0] = ket[3] = 1.0 / np.sqrt(2.0)
-    return DensityMatrix(np.outer(ket, ket.conj()), (2, 2))
+    return np.outer(ket, ket.conj())
 
 
-def x_state(params: XStateParams) -> DensityMatrix:
-    """Build the 4x4 density matrix with the X sparsity pattern."""
+def bell_phi_plus() -> DensityMatrix:
+    """Projector onto (|00> + |11>)/sqrt(2)."""
+    return DensityMatrix(bell_phi_plus_matrix(), (2, 2))
+
+
+def x_state_matrix(params: XStateParams) -> np.ndarray:
+    """Unvalidated 4x4 matrix of x_state(params), with the X sparsity pattern."""
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = params.diagonals
     m[0, 3] = params.rho14
     m[3, 0] = np.conj(params.rho14)
     m[1, 2] = params.rho23
     m[2, 1] = np.conj(params.rho23)
-    return DensityMatrix(m, (2, 2))
+    return m
+
+
+def x_state(params: XStateParams) -> DensityMatrix:
+    """The 4x4 density matrix with the X sparsity pattern: x_state_matrix(params), validated."""
+    return DensityMatrix(x_state_matrix(params), (2, 2))
 
 
 def _white_noise_mixtures(name: str, ket: np.ndarray, values) -> np.ndarray:
@@ -191,21 +198,23 @@ def w_white_noise(beta: float) -> DensityMatrix:
     return DensityMatrix(w_noise_matrices(beta), (2, 2, 2))
 
 
+def knoll_matrix(omega: float, eta: float) -> np.ndarray:
+    """Unvalidated matrix of knoll_state(omega, eta), once omega, eta and the X-state
+    parameters they give are checked."""
+    omega = _check_unit_interval("omega", omega)
+    eta = _check_unit_interval("eta", eta)
+    return x_state_matrix(XStateParams(
+        rho11=omega, rho22=eta * (1.0 - omega), rho33=0.0, rho44=(1.0 - omega) * (1.0 - eta),
+        rho14=np.sqrt(omega * (1.0 - omega) * (1.0 - eta)),
+    ))
+
+
 def knoll_state(omega: float, eta: float) -> DensityMatrix:
     """Two-qubit X-state from amplitude-damping the first qubit of
-    sqrt(omega)|00> + sqrt(1-omega)|11> with damping parameter eta.
+    sqrt(omega)|00> + sqrt(1-omega)|11> with damping parameter eta: knoll_matrix(omega, eta),
+    validated.
 
     Equivalently the mixture (1-a)|b><b| + a|01><01| with a = eta*(1-omega)
     and |b> = sqrt(omega/(1-a))|00> + sqrt(1 - omega/(1-a))|11>.
     """
-    omega = _check_unit_interval("omega", omega)
-    eta = _check_unit_interval("eta", eta)
-    params = XStateParams(
-        rho11=omega,
-        rho22=eta * (1.0 - omega),
-        rho33=0.0,
-        rho44=(1.0 - omega) * (1.0 - eta),
-        rho14=np.sqrt(omega * (1.0 - omega) * (1.0 - eta)),
-        rho23=0.0,
-    )
-    return x_state(params)
+    return DensityMatrix(knoll_matrix(omega, eta), (2, 2))

@@ -71,9 +71,9 @@ def sweep_evaluator(
 
 def fresh_row(name: str, x: float, fixed: dict | None = None, criteria: str | None = None, kmax=None) -> dict:
     """The row at `x` of a fresh sweep whose grid is [x] alone, one state computed as a stack
-    of one; the other arguments are those of `sweep_evaluator`."""
-    _, evaluate, _ = sweep_evaluator(name, fixed, criteria, kmax, [x])
-    return evaluate(x)
+    of one, keyed by column; the other arguments are those of `sweep_evaluator`."""
+    columns, evaluate, _ = sweep_evaluator(name, fixed, criteria, kmax, [x])
+    return dict(zip(columns, evaluate(x)))
 
 
 def record_evaluations(monkeypatch) -> list:

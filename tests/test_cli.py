@@ -352,6 +352,21 @@ def test_overflowing_eigenvalue_sum_exits_2(tmp_path, capsys, command):
     assert run([command, "--file", str(path)]) == 2
     assert capsys.readouterr().err == "error: matrix is not positive semidefinite: min eigenvalue -1.000e+308\n"
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["oracle", "analyze"])
+def test_trace_past_the_float_range_exits_2(tmp_path, capsys, command):
+    # the diagonal sums past the float range to a NaN trace, which once compared false with
+    # the trace tolerance and reached the eigendecomposition with four numpy warnings
+    diagonal = [1e308, 1e308, -1e308, -1e308]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[diagonal[i] if i == j else 0.0, 0.0]
+                                                           for i in range(4) for j in range(4)]}))
+    assert run([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: trace must be 1, got nan+0j\n"
+
+
 STATE_FILES = {
     "array": [MIXED4],
     "no-matrix": {"dims": [2, 2]},
@@ -416,10 +431,9 @@ def test_rank_two_knoll_state_concurrence(capsys, command, options):
 
 
 def test_knoll_report_bytes_do_not_depend_on_call_order(capsys):
-    # the base-state cache took -0.0 and 0.0 for one key, so the first call decided
+    # a base-state cache once took -0.0 and 0.0 for one key, so the first call decided
     # whether both reports printed -0.0 or 0.0 matrix entries
     def reports(order):
-        analysis._knoll_base.cache_clear()
         out = {}
         for omega in order:
             assert run(["analyze", "--family", "knoll", "--param", f"omega={omega}", "--param", "eta=0.3"]) == 0
@@ -427,6 +441,15 @@ def test_knoll_report_bytes_do_not_depend_on_call_order(capsys):
         return out
 
     assert reports(["0.0", "-0.0"]) == reports(["-0.0", "0.0"])
+
+
+def test_knoll_negative_zero_prints_the_zero_state(capsys):
+    # knoll_matrix(-0.0, eta) holds -0.0 entries; the family builds the state of 0.0 instead
+    blocks = {}
+    for omega in ("0.0", "-0.0"):
+        assert run(["analyze", "--family", "knoll", "--param", f"omega={omega}", "--param", "eta=0.3"]) == 0
+        blocks[omega] = json.dumps(json.loads(capsys.readouterr().out)["state"])
+    assert blocks["-0.0"] == blocks["0.0"]
 
 
 def test_key_minors_note_above_the_enumeration_cap(tmp_path):

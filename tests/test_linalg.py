@@ -56,6 +56,36 @@ def test_non_finite_entry_rejected(check, entry):
         check(m)
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_diagonal_sums_without_overflow():
+    # the trace is taken from the diagonal divided by the spectral radius, so 1e308 + 1e308
+    # is never formed
+    m = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
+    assert hermitian_eigenvalues(m).tolist() == [-1e308, -1e308, 1e308, 1e308]
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigenvalues_past_the_float_range_fail_the_sum_check():
+    # eigvalsh gives -inf and inf here; the residual is NaN, which used to compare false
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = 1.7e308
+    with pytest.raises(NumericsError, match="eigenvalue sum nan"):
+        hermitian_eigenvalues(m)
+
+
+def test_nan_eigenvalue_fails_the_sum_check(monkeypatch):
+    real = np.linalg.eigvalsh
+
+    def poisoned(a, *args, **kwargs):
+        eigs = real(a, *args, **kwargs)
+        eigs[..., -1] = np.nan
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+    with pytest.raises(NumericsError, match="eigenvalue sum nan"):
+        hermitian_eigenvalues(np.eye(2) / 2)
+
+
 def test_determinant_identity():
     assert determinant(np.eye(3)) == pytest.approx(1.0)
 

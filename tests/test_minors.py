@@ -331,6 +331,6 @@ def test_knoll_sweep_row_builds_the_pt_over_a_once(monkeypatch):
         columns, evaluate, _ = analysis._sweep_evaluator(
             family, {"omega": 0.12, "eta": 0.21}, resolve_criteria(None, 6), 6, 1e-10, grid
         )
-        row = evaluate(0.4)
+        row = dict(zip(columns, evaluate(0.4)))
         assert subsystems == [0]
     assert row["minor_14"] > 0 > row["minor_23"]

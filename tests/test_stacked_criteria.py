@@ -151,7 +151,7 @@ def test_concurrence_cross_check_failure_raises_the_failing_row_alone():
     # are genuine, and the square root magnifies their error); the message is what the
     # one-state evaluation of that state gives
     base = knoll_state(0.025, 1e-12)
-    stack = amplitude_damped_matrices(base, np.array([0.1, 0.65, 0.3]), 1)
+    stack = amplitude_damped_matrices(base.matrix, base.dims, np.array([0.1, 0.65, 0.3]), 1)
     message = "concurrence cross-check failed: spin-flip 0.184728601828281 vs X closed form 0.184728601928298"
     assert _raised(lambda: matrix_concurrence(stack[1:2])) == message
     assert _raised(lambda: matrix_concurrence(stack)) == message

@@ -5,6 +5,8 @@ from oracles import random_density_matrix, random_three_qubit_x_state, random_x_
 
 from ptmoments import (
     DensityMatrix,
+    KrausChannel,
+    MomentVector,
     NumericsError,
     ValidationError,
     XStateParams,
@@ -246,3 +248,28 @@ def test_stack_checks_are_as_strict_as_one_matrix_checks(flaw, position):
     else:
         for matrix, eigs in zip(stack, spectra):
             assert np.array_equal(eigs, hermitian_eigenvalues(matrix))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: MomentVector((NAN, 0.5), dim=4), "moment p_1 = nan is not finite"),
+        (lambda: MomentVector((1.0, NAN)), "moment p_2 = nan is not finite"),
+        (lambda: MomentVector((1.0, NAN, 0.3)), "moment p_2 = nan is not finite"),
+        (lambda: MomentVector((1.0, 0.5, float("inf"))), "moment p_3 = inf is not finite"),
+        (lambda: XStateParams(NAN, 0.5, 0.25, 0.25), "diagonal rho11 must be non-negative, got nan"),
+        (lambda: XStateParams(0.25, 0.25, 0.25, 0.25, rho14=NAN), "positivity violated: rho11*rho44"),
+        (lambda: KrausChannel((np.full((2, 2), NAN),)), "not trace preserving: |sum K^dag K - I| = nan"),
+    ],
+    ids=["moment-p1", "moment-p2", "moment-p2-of-three", "moment-p3-inf", "x-diagonal", "x-coherence",
+         "kraus"],
+)
+def test_nan_inputs_are_rejected(build, message):
+    # each check once read `x > bound`, which NaN passes: the moments then gave a verdict with
+    # a NaN margin, the X-state parameters NaN minors, and the channel was accepted
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert message in str(caught.value)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_PARAMS, fresh_row, record_evaluations, sweep_evaluator
 from oracles import bisect_root
 
-from ptmoments import NumericsError, analysis
+from ptmoments import NumericsError, analysis, states
 from ptmoments.analysis import FAMILY_BY_NAME, sweepable_families
 
 # The 101-step sweeps of the golden files: family and fixed parameters.
@@ -85,19 +85,36 @@ def test_each_distinct_value_is_built_once(traced_sweep, label):
     assert len(built) < sum(map(len, halvings))
 
 
-def test_knoll_base_state_is_built_once_per_sweep(monkeypatch):
-    calls = []
-    real = analysis.knoll_state
+@pytest.fixture
+def validations(monkeypatch):
+    """The size of every stack `density_matrix_spectra` validates, at both its bindings."""
+    sizes = []
+    real = states.density_matrix_spectra
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(matrices):
+        sizes.append(len(matrices))
+        return real(matrices)
 
-    monkeypatch.setattr(analysis, "knoll_state", counting)
-    analysis._knoll_base.cache_clear()
-    for count, (omega, eta) in enumerate([(0.12, 0.21), (0.2, 0.25)], start=1):
-        analysis.run_sweep("knoll", {"omega": omega, "eta": eta}, 0.0, 1.0, 101)
-        assert calls == [(0.12, 0.21), (0.2, 0.25)][:count]
+    for module in (states, analysis):
+        monkeypatch.setattr(module, "density_matrix_spectra", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("name", SAMPLE_PARAMS)
+def test_each_family_state_is_validated_once(validations, name):
+    # every builder is unvalidated, so building the state validates it once
+    analysis.build_family_state(name, SAMPLE_PARAMS[name])
+    assert validations == [1]
+
+
+def test_knoll_sweep_validates_its_stacks_only(validations):
+    # the grid and the 14 halvings, each one stack, and no separate base state; a second
+    # sweep at the same (omega, eta) does the same work
+    for _ in range(2):
+        validations.clear()
+        analysis.run_sweep("knoll", {"omega": 0.17, "eta": 0.23}, 0.0, 1.0, 101)
+        assert len(validations) == 15
+        assert validations[0] == 101
 
 
 @pytest.mark.parametrize("label", GOLDEN_SWEEPS)
@@ -141,7 +158,7 @@ def test_stacked_grid_rows_equal_one_state_evaluations(family, data, ends, steps
     except NumericsError as exc:
         assert str(exc) in expected
         return
-    assert [list(stacked(float(x)).values()) for x in grid] == expected
+    assert [stacked(float(x)) for x in grid] == expected
 
 
 @settings(max_examples=30, deadline=None)
