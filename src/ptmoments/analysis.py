@@ -72,12 +72,13 @@ def _x_family_matrix(params: dict[str, float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Sweep columns one function of a `_Points` record computes together, as a float array
-    (n, len(names)) of one row per state, and the floor their sweep boundaries cross, or None
-    where no boundary is located."""
+    """Sweep columns one function computes together, and the floor their sweep boundaries cross,
+    or None where none is located.  compute(points, rows) indexes by `rows`, sorted indices or a
+    slice, each `_Points` array it reads, so minors are computed at those rows only, and returns
+    the float array (len(rows), len(names))."""
 
     names: tuple[str, ...]
-    compute: Callable[[_Points], np.ndarray]
+    compute: Callable[[_Points, list[int] | slice], np.ndarray]
     floor: float | None = 0.0
 
 
@@ -85,14 +86,14 @@ class ColumnGroup:
 # call time, so a substitute bound to those names sees every call.
 X_MINORS = {  # by matrix dimension: the X-form pair minors, named minor_<i><j>
     dim: ColumnGroup(tuple(f"minor_{i}{j}" for i, j in pairs),
-                     lambda points: x_pair_minor_stack(points.pt(0)))
+                     lambda points, rows: x_pair_minor_stack(points.pt(0)[rows]))
     for dim, pairs in X_PAIR_LABELS.items()
 }
 MIN_PT_MINOR = ColumnGroup(
-    ("min_principal_minor",), lambda points: min_principal_minors(points.pt(0))[:, None]
+    ("min_principal_minor",), lambda points, rows: min_principal_minors(points.pt(0)[rows])[:, None]
 )
 CONCURRENCE_COLUMN = ColumnGroup(
-    ("concurrence",), lambda points: matrix_concurrence(points.matrices)[:, None],
+    ("concurrence",), lambda points, rows: matrix_concurrence(points.matrices[rows])[:, None],
     floor=CONCURRENCE_FLOOR,
 )
 
@@ -239,7 +240,10 @@ def state_from_payload(payload) -> DensityMatrix:
             raise ValidationError(
                 f"matrix entry {idx} must be a [re, im] pair of numbers, got {entry!r}"
             )
-        flat[idx] = complex(entry[0], entry[1])
+        try:
+            flat[idx] = complex(entry[0], entry[1])
+        except OverflowError as exc:  # an integer past the float range
+            raise ValidationError(f"matrix entry {idx} has a number past the float range") from exc
     return DensityMatrix(flat.reshape(dim, dim), dims)
 
 
@@ -253,6 +257,8 @@ def load_state_json(path) -> DensityMatrix:
         raise ValidationError(
             f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer of too many digits
+        raise ValidationError(f"cannot decode state file {path}: {exc}") from exc
     return state_from_payload(payload)
 
 
@@ -263,11 +269,11 @@ def load_state_json(path) -> DensityMatrix:
 class _Points:
     """States of one layout as a stack (n, d, d) and, each computed for the whole stack on first
     use and kept: the partial transpose over A, pt(0) (n, d, d); every cut's ascending
-    spectrum(s) (n, d); every cut's PT moments(s) (n, kmax); and the criteria_moments() (n, kmax)
-    with their provenance.  Each moment array is checked once per stack, raising what its first
-    failing row raises as a MomentVector.  pt(s) over any other cut is built anew each time, so
-    it goes once its spectrum is taken.  The caches close over locals, not over the record, so
-    no cycle holds it."""
+    spectrum(s) (n, d); every cut's PT moments(s) (n, kmax); and criteria_moments() (n, kmax),
+    whose provenance is criteria_source.  Each moment array is checked once per stack, raising
+    what its first failing row raises as a MomentVector.  pt(s) over any other cut is built anew
+    each time, so it goes once its spectrum is taken.  A `ColumnGroup` reads only its own rows of
+    these.  The caches close over locals, not over the record, so no cycle holds it."""
 
     def __init__(self, matrices: np.ndarray, dims: tuple[int, ...], kmax: int | None = None):
         self.matrices = matrices
@@ -278,27 +284,13 @@ class _Points:
         self.moments = moments = functools.cache(
             lambda s: check_moments(power_sums(spectrum(s), kmax), dim)
         )
-
-        @functools.cache
-        def criteria_moments() -> tuple[np.ndarray, str]:
-            if len(dims) == 3:
-                mean = geometric_mean_moments(np.array([moments(s) for s in range(3)]))
-                return check_moments(mean, dim), "tripartite-geometric-mean"
-            return moments(0), SUBSYSTEM_NAMES[0]
-
-        self.criteria_moments = criteria_moments
-
-    def take(self, rows: list[int]) -> _Points:
-        """The record of the states at `rows` of the stack.  It reads this record's caches, so
-        what they hold is computed for the whole stack; its own matrices and pt(0), and what a
-        column computes from them alone, such as minors, are those rows only."""
-        part = object.__new__(_Points)
-        part.matrices = self.matrices[rows]
-        part.pt = lambda s: self.pt(s)[rows]
-        part.spectrum = lambda s: self.spectrum(s)[rows]
-        part.moments = lambda s: self.moments(s)[rows]
-        part.criteria_moments = lambda: (self.criteria_moments()[0][rows], self.criteria_moments()[1])
-        return part
+        if len(dims) == 3:
+            self.criteria_source = "tripartite-geometric-mean"
+            self.criteria_moments = functools.cache(
+                lambda: check_moments(geometric_mean_moments(np.array([moments(s) for s in range(3)])), dim)
+            )
+        else:
+            self.criteria_source, self.criteria_moments = SUBSYSTEM_NAMES[0], lambda: moments(0)
 
     @classmethod
     def of(cls, state: DensityMatrix, kmax: int | None = None) -> _Points:
@@ -309,7 +301,7 @@ class _Points:
 def _key_minors_block(state: DensityMatrix, point: _Points) -> dict:
     if state.dims in ((2, 2), (2, 2, 2)) and is_x_pattern(state.matrix):
         group = X_MINORS[state.dim]
-        return dict(zip(group.names, group.compute(point)[0].tolist()))
+        return dict(zip(group.names, group.compute(point, [0])[0].tolist()))
     if state.dim <= minors.MAX_ENUMERATION_DIM:
         report = all_principal_minors(point.pt(0)[0])
         return {
@@ -349,7 +341,7 @@ def analyze_state(
     point = _Points.of(state, kmax)
     spectra = _named_spectra(state, point, tol)
     moments = {name: point.moments(s)[0].tolist() for s, name in enumerate(spectra)}
-    crit, source = point.criteria_moments()
+    crit = point.criteria_moments()
     verdicts = [c.verdict(crit[0], tol) for c in resolve_criteria(criteria, kmax).values()]
     negativities = negativity_from_spectrum(np.array(list(spectra.values())), tol)
     report = {
@@ -359,7 +351,7 @@ def analyze_state(
         "tolerance": tol,
         "state": state_payload(state),
         "moments": moments,
-        "criteria_moments": {"source": source, "values": crit[0].tolist()},
+        "criteria_moments": {"source": point.criteria_source, "values": crit[0].tolist()},
         "criteria": [asdict(v) for v in verdicts],
         "negativity": dict(zip(spectra, negativities.tolist())),
         "key_minors": _key_minors_block(state, point),
@@ -423,21 +415,21 @@ def _sweep_evaluator(
 ):
     """Build (columns, evaluate, boundary floors) for one family sweep over `grid` from one
     table of column groups, which declares each column once; `criteria` maps each token to its
-    `moments.Criterion`.  Every group computes its columns for a whole `_Points` stack at once.
-    The grid's float table (len(grid), len(columns)) is computed here from one record of all
-    its states, and `evaluate(x)` reads it.  `evaluate(values, names)`, the bisection's call,
-    builds its values as one record of their own, a stack from the same builder, and computes
-    each group on the part of it that asks for that group's columns."""
+    `moments.Criterion`.  The grid's float table (len(grid), len(columns)) is computed here,
+    each group at every row of one record of all its states, and `evaluate(x)` reads it.
+    `evaluate(values, names)`, the bisection's call, builds its values as one record of their
+    own, a stack from the same builder, and computes each group only at the rows of the values
+    that ask for that group's columns."""
     param = family.sweep_param
     groups = [
         ColumnGroup(tuple(f"p{k}" for k in range(1, kmax + 1)),
-                    lambda points: points.criteria_moments()[0], floor=None),
-        *(ColumnGroup((f"{t}_margin",),
-                      lambda points, test=criterion.test: test(points.criteria_moments()[0], tol)[0][:, None])
+                    lambda points, rows: points.criteria_moments()[rows], floor=None),
+        *(ColumnGroup((f"{t}_margin",), lambda points, rows, test=criterion.test:
+                      test(points.criteria_moments()[rows], tol)[0][:, None])
           for t, criterion in criteria.items()),
-        ColumnGroup(("negativity_A",),
-                    lambda points: negativity_from_spectrum(points.spectrum(0), tol)[:, None], floor=None),
-        ColumnGroup(("pt_min_eig_A",), lambda points: points.spectrum(0)[:, :1]),
+        ColumnGroup(("negativity_A",), lambda points, rows:
+                    negativity_from_spectrum(points.spectrum(0)[rows], tol)[:, None], floor=None),
+        ColumnGroup(("pt_min_eig_A",), lambda points, rows: points.spectrum(0)[rows, :1]),
         *family.minor_columns,
     ]
     group_of = {name: group for group in groups for name in group.names}
@@ -453,7 +445,7 @@ def _sweep_evaluator(
     grid = np.array(grid, dtype=float)
     if grid.size:
         points = record(grid)
-        table = np.column_stack([grid, *(group.compute(points) for group in groups)])
+        table = np.column_stack([grid, *(group.compute(points, slice(None)) for group in groups)])
     row_of = {x: i for i, x in enumerate(grid.tolist())}
 
     def evaluate(x, names=None):
@@ -472,7 +464,7 @@ def _sweep_evaluator(
             if asking:
                 taken = sorted({position[values[i]] for i in asking})
                 row = {p: r for r, p in enumerate(taken)}
-                block = group.compute(points.take(taken))
+                block = group.compute(points, taken)
                 out[asking] = block[[row[position[values[i]]] for i in asking],
                                     [group.names.index(names[i]) for i in asking]]
         return out
@@ -511,6 +503,8 @@ def run_sweep(
             f"family {family!r} is not sweepable; choose from "
             f"{', '.join(sorted(sweepable_families()))}"
         )
+    if record.sweep_param in fixed:
+        raise ValidationError(f"swept parameter {record.sweep_param!r} must not also be fixed")
     if not (0.0 <= lo < hi <= 1.0):
         raise ValidationError(
             f"sweep range [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1"

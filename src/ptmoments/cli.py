@@ -137,8 +137,6 @@ def _run_sweep(args) -> None:
         raise ValidationError(
             f"family {args.family!r} sweeps over {expected!r}, not {name!r}"
         )
-    if name in fixed:
-        raise ValidationError(f"swept parameter {name!r} must not also be fixed via --param")
     if args.step is not None:
         if not args.step > 0:
             raise ValidationError(f"--step must be positive, got {args.step}")

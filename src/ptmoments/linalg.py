@@ -94,13 +94,15 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     under 1.5e-14 * max |eig| for d <= 8.  The eigenvalues and the diagonal are divided by
     max(1, max |eig|) before either is summed, which leaves the bound 1e-10 and keeps both sums
     of a huge matrix from overflowing; the divisor is 1 for every state and partial transpose.
-    A NaN residual fails the check, as from an eigenvalue past the float range (inf / inf)."""
+    An eigenvalue past the float range of these finite entries is invalid input, and a NaN
+    eigenvalue fails the sum check."""
     m = assert_hermitian(matrix)
     check_finite(m)
     eigs = np.linalg.eigvalsh(m)
+    if np.isinf(eigs).any():
+        raise ValidationError(f"matrix has an eigenvalue past the float range: {eigs[np.isinf(eigs)][0]}")
     scale = np.maximum(1.0, np.abs(eigs).max(-1))[..., None]
-    with np.errstate(invalid="ignore"):
-        sums = (eigs / scale).sum(-1)
+    sums = (eigs / scale).sum(-1)
     traces = (m.diagonal(0, -2, -1).real / scale).sum(-1)
     agree = np.abs(sums - traces) <= 1e-10
     if not agree.all():

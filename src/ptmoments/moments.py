@@ -84,6 +84,8 @@ class CriterionVerdict:
 
     def __post_init__(self):
         linalg.check_tolerance(self.tolerance)
+        if math.isnan(self.margin):
+            raise ValidationError(f"criterion {self.criterion!r} has margin nan, which decides nothing")
         if self.violated != (self.margin < -self.tolerance):
             raise ValidationError(
                 "inconsistent verdict: violated must hold exactly when "

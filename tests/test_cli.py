@@ -367,6 +367,45 @@ def test_trace_past_the_float_range_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: trace must be 1, got nan+0j\n"
 
 
+def _file_with_first_entry(path, first: str) -> None:
+    """A 4x4 state file whose off-diagonal entry 1 is written as the JSON text `first`."""
+    entries = [f"[{0.25 if i % 5 == 0 else 0.0}, 0.0]" for i in range(16)]
+    entries[1] = f"[{first}, 0.0]"
+    path.write_text('{"dims": [2, 2], "matrix": [' + ", ".join(entries) + "]}")
+
+
+def _overflowing_spectrum(path) -> None:
+    matrix = np.diag([0.25] * 4).tolist()
+    matrix[0][1] = matrix[1][0] = matrix[0][2] = matrix[2][0] = 1.7e308
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": [[z, 0.0] for row in matrix for z in row]}))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["oracle", "analyze"])
+@pytest.mark.parametrize(
+    "write,message",
+    [
+        (lambda path: path.write_bytes(b"\xff\xfe" + b'{"dims": [2, 2]}'),
+         "error: cannot decode state file {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte\n"),
+        (lambda path: _file_with_first_entry(path, str(10 ** 400)),
+         "error: matrix entry 1 has a number past the float range\n"),
+        (lambda path: _file_with_first_entry(path, "1" * 5000),
+         "error: cannot decode state file {path}: Exceeds the limit (4300 digits) for integer string "
+         "conversion"),
+        (_overflowing_spectrum, "error: matrix has an eigenvalue past the float range: -inf\n"),
+    ],
+    ids=["not-utf8", "int-past-float-range", "int-of-5000-digits", "spectrum-past-float-range"],
+)
+def test_unreadable_or_overflowing_state_file_exits_2(tmp_path, capsys, command, write, message):
+    path = tmp_path / "state.json"
+    write(path)
+    assert run([command, "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(path=path))
+
+
 STATE_FILES = {
     "array": [MIXED4],
     "no-matrix": {"dims": [2, 2]},
@@ -385,7 +424,7 @@ X_STATE = ["analyze", "--family", "x-state", *(f"--param={d}" for d in ("r11=0.5
         ([*SWEEP_B, "beta"], "range 'beta' is not of the form name=lo:hi"),
         ([*SWEEP_B, "beta=a:1"], "range bounds in 'beta=a:1' must be numbers"),
         ([*SWEEP_B, "beta=0:nan"], "sweep range [0.0, nan] must satisfy 0 <= lo < hi <= 1"),
-        ([*SWEEP_B, "beta=0:1", "--param", "beta=0.5"], "swept parameter 'beta' must not also be fixed via --param"),
+        ([*SWEEP_B, "beta=0:1", "--param", "beta=0.5"], "swept parameter 'beta' must not also be fixed"),
         ([*SWEEP_B, "beta=0:1", "--step", "0"], "--step must be positive, got 0.0"),
         ([*SWEEP_B, "beta=0:1", "--step", "nan"], "--step must be positive, got nan"),
         ([*SWEEP_B, "beta=0:1", "--steps", "1"], "sweep needs at least 2 grid points, got 1"),

@@ -65,11 +65,12 @@ def test_huge_diagonal_sums_without_overflow():
 
 
 @pytest.mark.filterwarnings("error")
-def test_eigenvalues_past_the_float_range_fail_the_sum_check():
-    # eigvalsh gives -inf and inf here; the residual is NaN, which used to compare false
+def test_eigenvalues_past_the_float_range_are_invalid_input():
+    # eigvalsh gives -inf and inf for these finite entries: the input is at fault, not the
+    # numerics, so it is rejected before the sum check, whose residual would be NaN
     m = np.zeros((3, 3), dtype=complex)
     m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = 1.7e308
-    with pytest.raises(NumericsError, match="eigenvalue sum nan"):
+    with pytest.raises(ValidationError, match="^matrix has an eigenvalue past the float range: -inf$"):
         hermitian_eigenvalues(m)
 
 

@@ -224,6 +224,18 @@ class TestCriteria:
         with pytest.raises(ValidationError):
             CriterionVerdict(criterion="x", violated=True, margin=0.5, tolerance=1e-10)
 
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_nan_margin_is_no_verdict(self, violated):
+        from ptmoments import CriterionVerdict
+
+        with pytest.raises(ValidationError, match="has margin nan"):
+            CriterionVerdict("p3-ppt", violated, math.nan, 1e-10)
+
+    def test_nan_moment_gives_no_verdict(self):
+        # the raw criterion path, which MomentVector's finiteness check does not guard
+        with pytest.raises(ValidationError, match="'p3-ppt' has margin nan"):
+            CRITERIA["p3ppt"].verdict([1.0, math.nan, 0.3], 1e-10)
+
 
 class TestTripartite:
     def test_symmetric_equals_single_subsystem(self):

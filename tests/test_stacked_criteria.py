@@ -50,7 +50,7 @@ def one_state_margins(token: str, rows: list[list[float]]) -> list[tuple[float, 
 
 
 def assert_each_row_as_alone(points: _Points) -> None:
-    p = points.criteria_moments()[0]
+    p = points.criteria_moments()
     for token, criterion in CRITERIA.items():
         if criterion.order <= p.shape[1]:
             margins, tolerances = criterion.test(p, TOL)
@@ -160,7 +160,7 @@ def test_concurrence_cross_check_failure_raises_the_failing_row_alone():
 
 
 def test_scalar_criteria_are_the_stack_of_one():
-    p = _Points(batched_ginibre(np.random.default_rng(5), 1, 8), (2, 2, 2), KMAX).criteria_moments()[0]
+    p = _Points(batched_ginibre(np.random.default_rng(5), 1, 8), (2, 2, 2), KMAX).criteria_moments()
     mv = MomentVector(tuple(p[0]), 8)
     order_3 = {"p3ppt": p3_ppt_test, "p3oppt": p3_oppt_test}
     for token, criterion in CRITERIA.items():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import bisect_root
 
-from ptmoments import analysis
+from ptmoments import ValidationError, analysis
 from ptmoments.analysis import bisect_sign_change, run_sweep
 
 # (family, fixed parameters).  Knoll at omega=0.2, eta=0.25 is left out: its
@@ -84,6 +84,13 @@ def test_array_bisection_equals_scalar_bisection_per_bracket():
     lo, hi = [0.0, 0.5, 0.4, 0.7], [1.0, 0.7, 0.5, 0.71]
     roots, _ = lockstep_roots(functions, lo, hi, xtol=1e-9)
     assert roots.tolist() == [bisect_root(g, a, b, xtol=1e-9) for g, a, b in zip(functions, lo, hi)]
+
+
+@pytest.mark.parametrize("family,fixed", [("w-noise", {"beta": 0.3}), ("knoll", {"omega": 0.12, "eta": 0.21, "gamma": 0.5})])
+def test_a_fixed_swept_parameter_is_rejected(family, fixed):
+    param = analysis.FAMILY_BY_NAME[family].sweep_param
+    with pytest.raises(ValidationError, match=f"^swept parameter '{param}' must not also be fixed$"):
+        run_sweep(family, fixed, 0.0, 1.0, 3)
 
 
 @pytest.mark.parametrize("family,fixed", FAMILIES, ids=[f for f, _ in FAMILIES])

@@ -6,6 +6,7 @@ counts only; no wall-clock assertions."""
 from __future__ import annotations
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ def test_fresh_column_evaluation_matches_fresh_full_row(name):
         for column in floors:
             _, single, _ = sweep_evaluator(name)
             assert single(np.array([x]), [column]).tolist() == [row[column]]
+
+
+@pytest.mark.parametrize("name", sweepable_families())
+def test_each_group_computes_any_sorted_rows_as_the_full_stack_does(name):
+    # the groups and the record builder are those of the evaluator's own closure
+    _, evaluate, _ = sweep_evaluator(name, kmax=7)
+    cells = dict(zip(evaluate.__code__.co_freevars, evaluate.__closure__))
+    points = cells["record"].cell_contents(np.linspace(0.0, 1.0, 6))
+    for group in cells["groups"].cell_contents:
+        full = group.compute(points, slice(None))
+        assert full.shape == (6, len(group.names)), group.names
+        for size in range(1, 7):
+            for rows in map(list, itertools.combinations(range(6), size)):
+                part = group.compute(points, rows)
+                assert part.dtype == full.dtype and part.tobytes() == full[rows].tobytes(), (group.names, rows)
 
 
 @pytest.fixture
