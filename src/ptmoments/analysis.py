@@ -259,6 +259,8 @@ def load_state_json(path) -> DensityMatrix:
         ) from exc
     except ValueError as exc:  # bytes that are not UTF-8, or an integer of too many digits
         raise ValidationError(f"cannot decode state file {path}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
+        raise ValidationError(f"cannot decode state file {path}: JSON nested too deeply") from exc
     return state_from_payload(payload)
 
 
@@ -311,20 +313,20 @@ def _key_minors_block(state: DensityMatrix, point: _Points) -> dict:
     return {"note": f"principal-minor enumeration unavailable for dim > {minors.MAX_ENUMERATION_DIM}"}
 
 
-def _named_spectra(state: DensityMatrix, point: _Points, tol: float) -> dict[str, np.ndarray]:
-    """The spectrum of each single-factor partial transpose keyed A, B, ..., once the
-    tolerance and the number of factors a report can name are checked."""
+def _named_spectra(state: DensityMatrix, point: _Points, tol: float) -> tuple[str, np.ndarray]:
+    """The names A, B, ... of the single-factor partial transposes and their ascending spectra as
+    one array (cuts, d), once the tolerance and the number of factors a report can name are checked."""
     linalg.check_tolerance(tol)
     count = state.num_factors
     if count > len(SUBSYSTEM_NAMES):
         raise ValidationError(f"reports name at most {len(SUBSYSTEM_NAMES)} tensor factors, got {count}")
-    return {name: point.spectrum(s)[0] for s, name in zip(range(count), SUBSYSTEM_NAMES)}
+    return SUBSYSTEM_NAMES[:count], np.array([point.spectrum(s)[0] for s in range(count)])
 
 
-def _oracle_block(spectra: dict[str, np.ndarray], tol: float) -> dict:
-    """Smallest eigenvalue and PPT verdict of each named PT spectrum."""
-    ppt = {name: linalg.spectrum_is_psd(eigs, tol) for name, eigs in spectra.items()}
-    return {"pt_min_eigenvalue": {name: float(eigs[0]) for name, eigs in spectra.items()}, "ppt": ppt}
+def _oracle_block(names: str, spectra: np.ndarray, tol: float) -> dict:
+    """Smallest eigenvalue and PPT verdict of each named PT spectrum, all cuts at once."""
+    ppt = linalg.spectrum_is_psd(spectra, tol).tolist()
+    return {"pt_min_eigenvalue": dict(zip(names, spectra[:, 0].tolist())), "ppt": dict(zip(names, ppt))}
 
 
 def analyze_state(
@@ -339,11 +341,11 @@ def analyze_state(
     per partial transpose."""
     kmax = resolve_kmax(state.num_factors, kmax)
     point = _Points.of(state, kmax)
-    spectra = _named_spectra(state, point, tol)
-    moments = {name: point.moments(s)[0].tolist() for s, name in enumerate(spectra)}
+    names, spectra = _named_spectra(state, point, tol)
+    moments = {name: point.moments(s)[0].tolist() for s, name in enumerate(names)}
     crit = point.criteria_moments()
     verdicts = [c.verdict(crit[0], tol) for c in resolve_criteria(criteria, kmax).values()]
-    negativities = negativity_from_spectrum(np.array(list(spectra.values())), tol)
+    negativities = negativity_from_spectrum(spectra, tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
@@ -353,9 +355,9 @@ def analyze_state(
         "moments": moments,
         "criteria_moments": {"source": point.criteria_source, "values": crit[0].tolist()},
         "criteria": [asdict(v) for v in verdicts],
-        "negativity": dict(zip(spectra, negativities.tolist())),
+        "negativity": dict(zip(names, negativities.tolist())),
         "key_minors": _key_minors_block(state, point),
-        "oracle": _oracle_block(spectra, tol),
+        "oracle": _oracle_block(names, spectra, tol),
     }
     if state.dims == (2, 2):
         report["concurrence"] = concurrence(state)
@@ -368,14 +370,14 @@ def analyze_state(
 def oracle_state(state: DensityMatrix, descriptor: dict, tol: float = linalg.DEFAULT_PSD_TOL) -> dict:
     """Eigenvalue report: spectrum of the state and of every single-subsystem
     partial transpose, with PPT verdicts."""
-    spectra = _named_spectra(state, _Points.of(state), tol)
+    names, spectra = _named_spectra(state, _Points.of(state), tol)
     report = {
         "input": descriptor,
         "dims": list(state.dims),
-        "state_eigenvalues": [float(v) for v in state.spectrum],
-        "pt_eigenvalues": {name: [float(v) for v in eigs] for name, eigs in spectra.items()},
+        "state_eigenvalues": state.spectrum.tolist(),
+        "pt_eigenvalues": dict(zip(names, spectra.tolist())),
     }
-    report.update(_oracle_block(spectra, tol))
+    report.update(_oracle_block(names, spectra, tol))
     return report
 
 

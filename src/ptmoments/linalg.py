@@ -67,21 +67,19 @@ def check_tolerance(tol: float) -> None:
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
 
 
-def relative_tolerance(eigs, tol: float):
-    """`tol` scaled by max(1, max |eig|), the rule of every positivity decision: a float, or for
-    a stack (..., d) of spectra an array of one tolerance per spectrum.
-
-    The order-3 moment criteria use `tol` as is, which is the same: a partial transpose has unit
-    trace and Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1.
-    """
+def relative_tolerance(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """`tol` scaled by max(1, max |eig|) for each spectrum of a stack (..., d), shape (...): the
+    one scale of every positivity decision and of the eigenvalue-sum check.  The order-3 moment
+    criteria use `tol` as is, which is the same: a partial transpose has unit trace and
+    Tr[(rho^T)^2] = Tr[rho^2] <= 1, so |p_k| <= 1 for k >= 2 and max(1, |p|) is 1."""
     check_tolerance(tol)
-    scale = np.abs(eigs).max(axis=-1)
-    return tol * (np.maximum(1.0, scale) if scale.ndim else max(1.0, float(scale)))
+    return tol * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def spectrum_is_psd(eigs: np.ndarray, tol: float) -> bool:
-    """True iff the smallest of the ascending `eigs` is >= -tol * max(1, max |eig|)."""
-    return bool(eigs[0] >= -relative_tolerance(eigs, tol))
+def spectrum_is_psd(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """The one PSD rule: whether each ascending spectrum of a stack (..., d) has its smallest
+    eigenvalue >= -relative_tolerance(eigs, tol), shape (...)."""
+    return eigs[..., 0] >= -relative_tolerance(eigs, tol)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
@@ -91,9 +89,9 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     every entry must be finite.  Each matrix's eigenvalue sum must match its trace within
     `relative_tolerance(eigs, 1e-10)`: `eigvalsh` is backward stable, so each eigenvalue is off
     by at most about d * eps * max |eig|, and the sum of d of them by d^2 * eps * max |eig|,
-    under 1.5e-14 * max |eig| for d <= 8.  The eigenvalues and the diagonal are divided by
-    max(1, max |eig|) before either is summed, which leaves the bound 1e-10 and keeps both sums
-    of a huge matrix from overflowing; the divisor is 1 for every state and partial transpose.
+    under 1.5e-14 * max |eig| for d <= 8.  Both sums are taken over values divided by that scale,
+    `relative_tolerance(eigs, 1.0)`, which leaves the bound 1e-10 and keeps a huge matrix's sums
+    from overflowing; the divisor is 1 for every state and partial transpose.
     An eigenvalue past the float range of these finite entries is invalid input, and a NaN
     eigenvalue fails the sum check."""
     m = assert_hermitian(matrix)
@@ -101,7 +99,7 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     eigs = np.linalg.eigvalsh(m)
     if np.isinf(eigs).any():
         raise ValidationError(f"matrix has an eigenvalue past the float range: {eigs[np.isinf(eigs)][0]}")
-    scale = np.maximum(1.0, np.abs(eigs).max(-1))[..., None]
+    scale = relative_tolerance(eigs, 1.0)[..., None]
     sums = (eigs / scale).sum(-1)
     traces = (m.diagonal(0, -2, -1).real / scale).sum(-1)
     agree = np.abs(sums - traces) <= 1e-10
@@ -116,4 +114,4 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 def is_psd(matrix, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius)."""
-    return spectrum_is_psd(hermitian_eigenvalues(matrix), tol)
+    return bool(spectrum_is_psd(hermitian_eigenvalues(matrix), tol))

@@ -113,16 +113,11 @@ def power_sums(eigs: np.ndarray, kmax: int) -> np.ndarray:
     return np.array([(eigs ** k).sum(-1) for k in range(1, kmax + 1)]).T
 
 
-def moments_from_spectrum(eigs: np.ndarray, kmax: int, dim: int) -> MomentVector:
-    """Moments p_1..p_kmax as power sums of a partial transpose's spectrum."""
-    return MomentVector(values=tuple(power_sums(eigs, kmax).tolist()), dim=dim)
-
-
 def pt_moments(state: DensityMatrix, subsystem: int, kmax: int | None = None) -> MomentVector:
     """Moments Tr[(rho^T_s)^k] for k = 1..kmax from the transpose's spectrum."""
     kmax = resolve_kmax(state.num_factors, kmax)
     eigs = linalg.hermitian_eigenvalues(partial_transpose(state, subsystem))
-    return moments_from_spectrum(eigs, kmax, state.dim)
+    return MomentVector(tuple(power_sums(eigs, kmax).tolist()), state.dim)
 
 
 def _hankel_stack(p: np.ndarray, k: int) -> np.ndarray:

@@ -49,17 +49,15 @@ def negativity(state: DensityMatrix, subsystem: int, tol: float = linalg.DEFAULT
     """Sum of |negative eigenvalues| of the partial transpose; zero iff PPT
     within tolerance."""
     eigs = linalg.hermitian_eigenvalues(partial_transpose(state, subsystem))
-    return negativity_from_spectrum(eigs, tol)
+    return float(negativity_from_spectrum(eigs[None], tol)[0])
 
 
-def negativity_from_spectrum(eigs: np.ndarray, tol: float):
-    """Summed |eigenvalues| below the relative tolerance of a partial transpose's ascending
-    spectrum (d,), a float; or of each spectrum of a stack (n, d), an array (n,).
+def negativity_from_spectrum(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """Summed |eigenvalues| below -relative_tolerance(eigs, tol) of each ascending
+    partial-transpose spectrum of a stack (n, d), shape (n,).
 
     The negative eigenvalues lead each spectrum.  The spectra with k of them are summed as
     one (m, k) block, which adds the same numbers in the same order as each spectrum alone."""
-    if eigs.ndim == 1:
-        return float(negativity_from_spectrum(eigs[None], tol)[0])
     counts = (eigs < -linalg.relative_tolerance(eigs, tol)[:, None]).sum(axis=-1)
     totals = np.zeros(len(eigs))
     for k in set(counts.tolist()) - {0}:

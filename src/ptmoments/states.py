@@ -31,7 +31,7 @@ def density_matrix_spectra(matrices: np.ndarray) -> np.ndarray:
     if not unit.all():
         raise ValidationError(f"trace must be 1, got {complex(traces[unit.argmin()]):.15g}")
     eigs = linalg.hermitian_eigenvalues(matrices)
-    psd = eigs[:, 0] >= -linalg.relative_tolerance(eigs, linalg.DEFAULT_PSD_TOL)
+    psd = linalg.spectrum_is_psd(eigs, linalg.DEFAULT_PSD_TOL)
     if not psd.all():
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {eigs[psd.argmin(), 0]:.3e}"

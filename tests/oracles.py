@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from conftest import random_separable_state
 
 from ptmoments import linalg
 from ptmoments.channels import KrausChannel, ebc_gamma_threshold
@@ -216,6 +217,69 @@ def _random_in_disc(rng: np.random.Generator, radius: float) -> complex:
     r = radius * np.sqrt(rng.uniform())
     phase = np.exp(2j * np.pi * rng.uniform())
     return complex(r * phase)
+
+
+# Soundness corpora: states that every moment criterion must pass on every cut.  Seeds are
+# fixed, not chosen for their outcome.
+
+SEPARABLE_LAYOUTS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
+HORODECKI_B = np.linspace(0.01, 0.99, 99)
+
+
+def separable_corpus(count: int = 200) -> dict[tuple[int, int], np.ndarray]:
+    """`count` mixtures of 1 to 4 random product states per layout, as stacks (count, d, d),
+    drawn in layout order from one generator seeded 13."""
+    rng = np.random.default_rng(13)
+    return {
+        dims: np.array([random_separable_state(rng, dims, max_terms=4).matrix for _ in range(count)])
+        for dims in SEPARABLE_LAYOUTS
+    }
+
+
+def horodecki_2x4(b: float) -> np.ndarray:
+    """P. Horodecki's PPT-entangled 2x4 state rho_b, 0 < b < 1 (Phys. Lett. A 232, 333 (1997)),
+    qubit first."""
+    m = np.zeros((8, 8))
+    for i in range(3):  # b on the diagonal and between |0, i> and |1, i + 1>
+        m[i, i] = m[i + 5, i + 5] = m[i, i + 5] = m[i + 5, i] = b
+    m[3, 3] = b
+    m[4, 4] = m[7, 7] = (1.0 + b) / 2.0
+    m[4, 7] = m[7, 4] = math.sqrt(1.0 - b * b) / 2.0
+    return m / (7.0 * b + 1.0)
+
+
+def swap_factors(matrix: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The matrix of a two-factor state with its factors exchanged, on dims reversed."""
+    a, b = dims
+    return matrix.reshape(a, b, a, b).transpose(1, 0, 3, 2).reshape(a * b, a * b)
+
+
+def horodecki_corpus() -> dict[tuple[int, int], np.ndarray]:
+    """rho_b at each b of HORODECKI_B on (2, 4), and with its factors swapped on (4, 2)."""
+    stack = np.array([horodecki_2x4(b) for b in HORODECKI_B])
+    return {(2, 4): stack, (4, 2): np.array([swap_factors(m, (2, 4)) for m in stack])}
+
+
+def noisy_pure_three_qubit_corpus(count: int = 600) -> np.ndarray:
+    """`count` random pure three-qubit states, from a generator seeded 7, each mixed with white
+    noise to just past its last cut's NPT threshold, as a stack (count, 8, 8).
+
+    rho(b) = (1 - b) |psi><psi| + b I/8 is NPT across a cut iff b < 8 s1 s2 / (1 + 8 s1 s2),
+    with s1 >= s2 the two largest Schmidt coefficients across it; b is the largest of the three
+    thresholds plus 1e-4, so every cut is PPT."""
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(count):
+        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        psi = g / np.linalg.norm(g)
+        cuts = psi.reshape(2, 2, 2)
+        thresholds = []
+        for s in range(3):
+            s1, s2 = np.linalg.svd(np.moveaxis(cuts, s, 0).reshape(2, 4), compute_uv=False)
+            thresholds.append(8.0 * s1 * s2 / (1.0 + 8.0 * s1 * s2))
+        b = max(thresholds) + 1e-4
+        states.append((1.0 - b) * np.outer(psi, psi.conj()) + b * np.eye(8) / 8.0)
+    return np.array(states)
 
 
 # The exact NPT threshold of each sweepable family in its swept parameter, given the fixed

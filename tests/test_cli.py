@@ -394,8 +394,12 @@ def _overflowing_spectrum(path) -> None:
          "error: cannot decode state file {path}: Exceeds the limit (4300 digits) for integer string "
          "conversion"),
         (_overflowing_spectrum, "error: matrix has an eigenvalue past the float range: -inf\n"),
+        # a 2 kB file whose arrays nest past the JSON decoder's recursion limit
+        (lambda path: path.write_text('{"dims": [2, 2], "matrix": ' + "[" * 990 + "]" * 990 + "}"),
+         "error: cannot decode state file {path}: JSON nested too deeply\n"),
     ],
-    ids=["not-utf8", "int-past-float-range", "int-of-5000-digits", "spectrum-past-float-range"],
+    ids=["not-utf8", "int-past-float-range", "int-of-5000-digits", "spectrum-past-float-range",
+         "nested-990-deep"],
 )
 def test_unreadable_or_overflowing_state_file_exits_2(tmp_path, capsys, command, write, message):
     path = tmp_path / "state.json"
@@ -489,6 +493,15 @@ def test_knoll_negative_zero_prints_the_zero_state(capsys):
         assert run(["analyze", "--family", "knoll", "--param", f"omega={omega}", "--param", "eta=0.3"]) == 0
         blocks[omega] = json.dumps(json.loads(capsys.readouterr().out)["state"])
     assert blocks["-0.0"] == blocks["0.0"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+def test_near_pure_knoll_state_exits_0(capsys):
+    # at eta 1e-12 the spin-flip concurrence and the X closed form differ by 1.0e-10, past the
+    # cross-check's bound, so both commands exit 3 on a valid state
+    family = ["--family", "knoll", "--param", "omega=0.025", "--param", "eta=1e-12"]
+    assert run(["analyze", *family, "--param", "gamma=0.65"]) == 0
+    assert run(["sweep", *family, "--range", "gamma=0:1", "--steps", "41"]) == 0
 
 
 def test_key_minors_note_above_the_enumeration_cap(tmp_path):
